@@ -83,7 +83,7 @@ def _parse_bit_string(text: str) -> list[int]:
 def _cmd_update(args) -> tuple[object, str]:
     rule = args.rule
     record: dict = {"rule": rule}
-    if rule in ("two-bc", "three-bc", "sym-after", "sym-during"):
+    if rule not in ("three-bc-unequal", "steady-state"):
         if args.bias is None:
             raise ValueError(f"--bias required for rule {rule}")
         record["bias"] = args.bias
@@ -113,17 +113,11 @@ def _cmd_update(args) -> tuple[object, str]:
         rates = _parse_rates(args)
         record.update(bias=args.bias, s=rates.s, d=rates.d)
         record["result"] = bias_mod.debias_step(args.bias, rates)
-    elif rule == "sym-after":
-        rates = _parse_rates(args)
-        record["eps"] = rates.eps0
-        record["result"] = limits.newbias_sym_after(args.bias, rates.eps0)
-    elif rule == "sym-during":
-        rates = _parse_rates(args)
-        record["eps"] = rates.eps0
-        record["result"] = limits.newbias_sym_during(args.bias, rates.eps0)
+    elif rule in ("sym-after", "sym-during"):
+        model = limits.make_model(rule, _parse_rates(args))
+        record["eps"] = model.rates.eps0
+        record["result"] = model.update(args.bias)
     elif rule in ("asym-after", "asym-during"):
-        if args.bias is None:
-            raise ValueError(f"--bias required for rule {rule}")
         rates = _parse_rates(args)
         record.update(bias=args.bias, s=rates.s, d=rates.d)
         if rule == "asym-after":
@@ -305,6 +299,12 @@ def _cmd_tape(args) -> tuple[object, str]:
     else:
         raise ValueError(f"unknown action {args.action!r}")
     record["pulses"] = len(ops)
+    if args.action == "cool":  # the routing is replayed in reverse around the head gates
+        head = len(circuits.majority_circuit_toffoli().gates)
+        routing = (len(ops) - head) // 2
+        record["pulses_by_phase"] = {"routing": routing, "head": head, "unrouting": routing}
+        record["pulses_by_kind"] = {kind: sum(op.kind == kind for op in ops)
+                                    for kind in ("SWAP_AB", "SWAP_BC", "SWAP_AC", "HEAD")}
     record["bits_out"] = "".join(str(b) for b in out.bits)
     if args.dump is not None:
         Path(args.dump).write_text(tape.pulse_program_to_text(ops))

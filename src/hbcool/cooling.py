@@ -223,6 +223,8 @@ def random_hb_trace_check(trials: int, max_bits: int = 8, seed: int = 0,
     random sequence of (three_bc_hb at random distinct positions, random
     permutation); the sorted-bias bound is checked after every operation.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     violations: list[dict] = []
     checks = 0

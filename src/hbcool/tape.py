@@ -12,8 +12,13 @@ gates; everything else moves only through species-parallel swap layers:
 Composing four layers gives a "shift" that keeps one species fixed and
 moves the other two one triple in opposite directions; all routing is
 built from these shifts plus head-local swaps. Pulse counts are the
-number of primitives issued; no attempt is made to minimize them.
-"""
+number of primitives issued. A cooling step moves only its operands,
+each by a transposition W + [head swap] + reversed W with its head cell,
+where W keeps that cell and carries the operand onto another head cell:
+at most one masked layer (SWAP_AB or SWAP_BC plus the same head swap:
+two species trade places everywhere but the head), then at most (m-1)/2
+shifts fixing the head cell's species, the shorter way round. That is at
+most 4m + 1 pulses per transposition and 24m + 9 per step."""
 
 from __future__ import annotations
 
@@ -35,7 +40,8 @@ __all__ = [
 
 SPECIES = ("A", "B", "C")
 _LAYERS = ("SWAP_AB", "SWAP_BC", "SWAP_AC")
-
+# species -> (masked layer that moves it off that species, species it lands on)
+_MASKED = {0: ("SWAP_AB", 1), 1: ("SWAP_AB", 0), 2: ("SWAP_BC", 1)}
 # fixed species -> (layer sequence, species moving counterclockwise, clockwise)
 _SHIFTS = {
     "B": (("SWAP_AC", "SWAP_AB", "SWAP_BC", "SWAP_AB"), "A", "C"),
@@ -100,6 +106,9 @@ class PrimitiveOp:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
 
 
+_LAYER_OPS = {layer: PrimitiveOp(layer) for layer in _LAYERS}
+
+
 def parallel_swap_op(pair: str) -> PrimitiveOp:
     return PrimitiveOp(f"SWAP_{pair}")
 
@@ -109,28 +118,31 @@ def head_gate_op(gate: Gate) -> PrimitiveOp:
 
 
 def apply_primitive(loop: ChainLoop, op: PrimitiveOp) -> ChainLoop:
-    bits = list(loop.bits)
-    if op.kind == "HEAD":
-        local = (bits[loop.head_cell(0)]
-                 | bits[loop.head_cell(1)] << 1
-                 | bits[loop.head_cell(2)] << 2)
-        local = op.gate.apply_to_state(local)
-        for s in range(3):
-            bits[loop.head_cell(s)] = (local >> s) & 1
-        return loop.with_bits(bits)
-    offset = {"SWAP_AB": 0, "SWAP_BC": 1, "SWAP_AC": 2}[op.kind]
-    n = loop.n_cells
-    for t in range(loop.m):
-        a = 3 * t + offset
-        b = (a + 1) % n
-        bits[a], bits[b] = bits[b], bits[a]
-    return loop.with_bits(bits)
+    return execute(loop, [op])
 
 
 def execute(loop: ChainLoop, ops: Iterable[PrimitiveOp]) -> ChainLoop:
+    """Run a pulse program on one int holding every cell (bit i = cell i).
+
+    A layer is a masked xor-swap of neighbouring bits; SWAP_AC runs it
+    between a rotate by two cells and the rotate back.
+    """
+    n, low = loop.n_cells, 3 * loop.head
+    full = (1 << n) - 1
+    masks = {"SWAP_AB": full // 7, "SWAP_BC": full // 7 << 1, "SWAP_AC": full // 7}
+    state = int("".join(map(str, reversed(loop.bits))), 2)
     for op in ops:
-        loop = apply_primitive(loop, op)
-    return loop
+        if op.kind == "HEAD":
+            local = (state >> low) & 7
+            state ^= (local ^ op.gate.apply_to_state(local)) << low
+            continue
+        if op.kind == "SWAP_AC":  # cell i + 2 -> bit i
+            state = (state >> 2) | ((state & 3) << (n - 2))
+        x = (state ^ (state >> 1)) & masks[op.kind]
+        state ^= x | (x << 1)
+        if op.kind == "SWAP_AC":
+            state = ((state << 2) & full) | (state >> (n - 2))
+    return loop.with_bits([(state >> i) & 1 for i in range(n)])
 
 
 def shift_ops(fixed_species: str) -> list[PrimitiveOp]:
@@ -138,7 +150,7 @@ def shift_ops(fixed_species: str) -> list[PrimitiveOp]:
     if fixed_species not in _SHIFTS:
         raise ValueError(f"fixed species must be one of {SPECIES}, got {fixed_species!r}")
     layers, _, _ = _SHIFTS[fixed_species]
-    return [PrimitiveOp(layer) for layer in layers]
+    return [_LAYER_OPS[layer] for layer in layers]
 
 
 def shift_sequence(loop: ChainLoop, fixed_species: str) -> ChainLoop:
@@ -152,9 +164,7 @@ def bring_pair_ops(loop: ChainLoop, pos1: int, pos2: int) -> list[PrimitiveOp]:
     """Shift program landing two adjacent bits on their head cells.
 
     Each bit keeps its species under shifts, so the pair ends on the
-    same-species cells of the head triple. The second phase uses the
-    shift that leaves the first bit's species fixed.
-    """
+    same-species cells of the head triple."""
     n = loop.n_cells
     if (pos2 - pos1) % n == 1:
         p, q = pos1, pos2
@@ -163,18 +173,11 @@ def bring_pair_ops(loop: ChainLoop, pos1: int, pos2: int) -> list[PrimitiveOp]:
     else:
         raise ValueError(f"cells {pos1} and {pos2} are not adjacent on the loop")
     h, m = loop.head, loop.m
-    sp = p % 3
-    t = p // 3
-    if sp == 0:    # (A_t, B_t): move A ccw to the head, then B cw, A fixed
-        phases = [("B", (t - h) % m), ("A", (h - t) % m)]
-    elif sp == 1:  # (B_t, C_t): move B ccw, then C cw, B fixed
-        phases = [("C", (t - h) % m), ("B", (h - t) % m)]
-    else:          # (C_t, A_{t+1}): move C ccw, then A cw, C fixed
-        phases = [("A", (t - h) % m), ("C", (h - (t + 1)) % m)]
-    ops: list[PrimitiveOp] = []
-    for fixed, count in phases:
-        ops.extend(op for _ in range(count) for op in shift_ops(fixed))
-    return ops
+    t, sp = divmod(p, 3)
+    # (A_t, B_t): move A ccw to the head with B fixed, then B cw with A fixed;
+    # (B_t, C_t) and (C_t, A_{t+1}) likewise with the species rotated
+    first, second = {0: ("B", "A"), 1: ("C", "B"), 2: ("A", "C")}[sp]
+    return shift_ops(first) * ((t - h) % m) + shift_ops(second) * ((h - t - (sp == 2)) % m)
 
 
 def bring_pair_under_head(loop: ChainLoop, pos1: int, pos2: int) -> tuple[ChainLoop, int]:
@@ -183,12 +186,9 @@ def bring_pair_under_head(loop: ChainLoop, pos1: int, pos2: int) -> tuple[ChainL
 
 
 def swap_adjacent_ops(loop: ChainLoop, pos: int) -> list[PrimitiveOp]:
-    """Program for a single transposition of pos with its clockwise neighbor.
-
-    Shuttle the pair to the head, swap there, and replay the shuttle in
-    reverse (every primitive is an involution, so the reversed list is
-    the exact inverse).
-    """
+    """Program for a single transposition of pos with its clockwise neighbor:
+    shuttle the pair to the head, swap there, and replay the shuttle in
+    reverse (every primitive is an involution, so that is its inverse)."""
     if not (0 <= pos < loop.n_cells):
         raise ValueError(f"cell {pos} out of range")
     q = (pos + 1) % loop.n_cells
@@ -209,9 +209,7 @@ def permutation_ops(m: int, head: int, perm: Sequence[int]) -> list[PrimitiveOp]
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a bijection on all cell indices")
     geometry = ChainLoop(m, (0,) * n, head)
-    inverse = [0] * n
-    for src, dst in enumerate(perm):
-        inverse[dst] = src
+    inverse = sorted(range(n), key=lambda src: perm[src])  # inverse[dst] = src
     current = list(range(n))  # current[cell] = original index of the bit there
     ops: list[PrimitiveOp] = []
     for cell in range(n):
@@ -228,32 +226,39 @@ def apply_permutation(loop: ChainLoop, perm: Sequence[int]) -> tuple[ChainLoop, 
     return execute(loop, ops), len(ops)
 
 
+def _head_transposition_ops(m: int, head: int, cell: int, species: int) -> list[PrimitiveOp]:
+    """Program exchanging the bit at `cell` with the head cell of `species`."""
+    t, s = divmod(cell, 3)
+    carry: list[PrimitiveOp] = []  # W: keeps the head cell, carries `cell` to the head
+    if t != head:
+        if s == species:
+            layer, s = _MASKED[s]
+            carry += [_LAYER_OPS[layer], head_gate_op(swap(*sorted((s, species))))]
+        steps = (head - t) % m  # triples to move clockwise
+        forward = (steps <= m // 2) == (SPECIES[s] == _SHIFTS[SPECIES[species]][2])
+        carry += shift_ops(SPECIES[species])[::1 if forward else -1] * min(steps, m - steps)
+    return carry + [head_gate_op(swap(*sorted((s, species))))] + carry[::-1]
+
+
 def compile_cooling_step(loop: ChainLoop, positions: Sequence[int]) -> tuple[list[PrimitiveOp], int]:
     """Program computing the 3-bit majority of the named cells into the first.
 
-    The three bits are routed onto the head cells (A, B, C in argument
-    order), the majority circuit's gates run at the head, and the routing
-    is undone, so the majority lands back on positions[0] and every
-    uninvolved bit is restored.
-    """
-    p1, p2, p3 = positions
-    if len({p1, p2, p3}) != 3:
-        raise ValueError(f"positions must be distinct, got {positions}")
-    for pos in (p1, p2, p3):
-        if not (0 <= pos < loop.n_cells):
-            raise ValueError(f"cell {pos} out of range")
-    head_gates = [head_gate_op(g) for g in majority_circuit_toffoli().gates]
-    targets = [loop.head_cell(0), loop.head_cell(1), loop.head_cell(2)]
-    if [p1, p2, p3] == targets:
-        return head_gates, len(head_gates)
-    perm = [0] * loop.n_cells
-    perm[p1], perm[p2], perm[p3] = targets
-    rest_src = sorted(set(range(loop.n_cells)) - {p1, p2, p3})
-    rest_dst = sorted(set(range(loop.n_cells)) - set(targets))
-    for src, dst in zip(rest_src, rest_dst):
-        perm[src] = dst
-    gather = permutation_ops(loop.m, loop.head, perm)
-    ops = gather + head_gates + gather[::-1]
+    At most three head transpositions route the bits onto the head cells
+    (A, B, C in argument order), the majority circuit's gates run there,
+    and the routing is undone, so the majority lands back on positions[0]
+    and every uninvolved bit is restored."""
+    if len(positions) != 3 or len(set(positions)) != 3:
+        raise ValueError(f"need exactly three distinct positions, got {list(positions)}")
+    if not all(0 <= pos < loop.n_cells for pos in positions):
+        raise ValueError(f"positions {list(positions)} out of range for {loop.n_cells} cells")
+    where = list(positions)  # where[i]: current cell of operand i
+    gather: list[PrimitiveOp] = []
+    for i in range(3):
+        target = loop.head_cell(i)
+        if where[i] != target:
+            gather += _head_transposition_ops(loop.m, loop.head, where[i], i)
+            where = [{where[i]: target, target: where[i]}.get(c, c) for c in where]
+    ops = gather + [head_gate_op(g) for g in majority_circuit_toffoli().gates] + gather[::-1]
     return ops, len(ops)
 
 
@@ -262,12 +267,7 @@ def compile_cooling_step(loop: ChainLoop, positions: Sequence[int]) -> tuple[lis
 
 def pulse_program_to_text(ops: Iterable[PrimitiveOp]) -> str:
     """One primitive per line; head gates reuse the circuit gate syntax."""
-    lines = []
-    for op in ops:
-        if op.kind == "HEAD":
-            lines.append(f"HEAD {_format_gate(op.gate)}")
-        else:
-            lines.append(op.kind)
+    lines = [f"HEAD {_format_gate(op.gate)}" if op.kind == "HEAD" else op.kind for op in ops]
     return "\n".join(lines) + "\n"
 
 
@@ -281,7 +281,7 @@ def pulse_program_from_text(text: str) -> list[PrimitiveOp]:
         if tokens[0] in _LAYERS:
             if len(tokens) != 1:
                 raise ValueError(f"swap layer takes no arguments: {line!r}")
-            ops.append(PrimitiveOp(tokens[0]))
+            ops.append(_LAYER_OPS[tokens[0]])
         elif tokens[0] == "HEAD":
             if len(tokens) < 2:
                 raise ValueError(f"HEAD line needs a gate: {line!r}")

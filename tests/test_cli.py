@@ -46,6 +46,18 @@ class TestUpdate:
         assert code == 1
         assert "error" in json.loads(out)
 
+    def test_debias_requires_bias(self, capsys):
+        code, out = run_cli(capsys, "update", "--rule", "debias", "--eps", "0.01")
+        assert code == 1
+        assert "--bias" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("rule", ["sym-after", "sym-during"])
+    def test_symmetric_rules_reject_unequal_rates(self, capsys, rule):
+        code, out = run_cli(capsys, "update", "--rule", rule, "--bias", "0.5",
+                            "--eps0", "0.01", "--eps1", "0.02")
+        assert code == 1
+        assert "symmetric" in json.loads(out)["error"]
+
     def test_asym_during_second_order(self, capsys):
         rec = run_json(capsys, "update", "--rule", "asym-during", "--bias", "0.5",
                        "--s", "0.02", "--d", "0.01", "--order", "second")
@@ -168,6 +180,13 @@ class TestEfficiency:
         assert rec["violations"] == 0
         assert rec["trials"] == 200
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_bound_fuzz_needs_a_trial(self, capsys, trials):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
+                            "--trials", trials)
+        assert code == 1
+        assert "trial" in json.loads(out)["error"]
+
     def test_missing_target_rejected(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "simple",
                             "--bi", "1e-5")
@@ -238,6 +257,21 @@ class TestTape:
         rec = run_json(capsys, "tape", "--m", "3", "--bits", "110000000",
                        "--action", "permute", "--perm", perm)
         assert rec["bits_out"] == "000110000"
+
+    def test_cool_reports_pulse_breakdown(self, capsys):
+        rec = run_json(capsys, "tape", "--m", "5", "--head", "2", "--bits", "1" * 15,
+                       "--action", "cool", "--positions", "0,13,4")
+        phases, kinds = rec["pulses_by_phase"], rec["pulses_by_kind"]
+        assert phases["head"] == 3
+        assert phases["routing"] == phases["unrouting"] > 0
+        assert sum(phases.values()) == sum(kinds.values()) == rec["pulses"]
+        assert set(kinds) == {"SWAP_AB", "SWAP_BC", "SWAP_AC", "HEAD"}
+
+    def test_cool_needs_three_positions(self, capsys):
+        code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",
+                            "--action", "cool", "--positions", "1,2")
+        assert code == 1
+        assert "exactly three" in json.loads(out)["error"]
 
     def test_bit_count_mismatch(self, capsys):
         code, _ = run_cli(capsys, "tape", "--m", "3", "--bits", "01",

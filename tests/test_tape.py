@@ -1,15 +1,16 @@
 """ABC-chain tape emulator: shifts, routing, compiled cooling steps."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from hbcool.circuits import cnot, majority_circuit_toffoli
+from hbcool.circuits import cnot, majority_circuit_toffoli, swap, toffoli
 from hbcool.tape import (
     ChainLoop,
     PrimitiveOp,
     apply_permutation,
+    apply_primitive,
     bring_pair_under_head,
     compile_cooling_step,
     execute,
@@ -310,3 +311,111 @@ class TestPulsePrograms:
             pulse_program_from_text("SWAP_AB 3")
         with pytest.raises(ValueError):
             pulse_program_from_text("HEAD")
+
+
+def reference_execute(loop, ops):
+    """Cell-by-cell replay read straight off the layer definitions."""
+    bits = list(loop.bits)
+    n = len(bits)
+    head = [3 * loop.head + s for s in range(3)]
+    for op in ops:
+        if op.kind == "HEAD":
+            x = sum(bits[cell] << s for s, cell in enumerate(head))
+            y = op.gate.apply_to_state(x)
+            for s, cell in enumerate(head):
+                bits[cell] = (y >> s) & 1
+            continue
+        first = {"SWAP_AB": 0, "SWAP_BC": 1, "SWAP_AC": 2}[op.kind]
+        for t in range(loop.m):
+            a, b = 3 * t + first, (3 * t + first + 1) % n
+            bits[a], bits[b] = bits[b], bits[a]
+    return bits
+
+
+def random_program(rng, length):
+    gates = [cnot(0, 1), cnot(2, 0), toffoli(1, 2, 0), swap(0, 2), swap(1, 2)]
+    ops = []
+    for _ in range(length):
+        if rng.random() < 0.25:
+            ops.append(head_gate_op(rng.choice(gates)))
+        else:
+            ops.append(parallel_swap_op(rng.choice(("AB", "BC", "AC"))))
+    return ops
+
+
+class TestBitmaskExecute:
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_matches_reference_on_random_programs(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(40):
+            bits = tuple(rng.getrandbits(1) for _ in range(3 * m))
+            loop = ChainLoop(m, bits, head=rng.randrange(m))
+            ops = random_program(rng, 30)
+            assert list(execute(loop, ops).bits) == reference_execute(loop, ops)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_swap_ac_wraps_last_c_onto_first_a(self, m):
+        n = 3 * m
+        loop = loop_with(m, {n - 1: 1})
+        out = execute(loop, [parallel_swap_op("AC")])
+        assert out.bits == loop_with(m, {0: 1}).bits
+        assert list(out.bits) == reference_execute(loop, [parallel_swap_op("AC")])
+
+    def test_head_gate_at_nonzero_head(self):
+        loop = loop_with(5, {9: 1}, head=3)  # A cell of the head triple
+        out = execute(loop, [head_gate_op(cnot(0, 2))])
+        assert out.bits == loop_with(5, {9: 1, 11: 1}).bits
+
+    def test_apply_primitive_is_one_step_execute(self):
+        rng = random.Random(8)
+        loop = ChainLoop(5, tuple(rng.getrandbits(1) for _ in range(15)), head=4)
+        for op in random_program(rng, 20):
+            assert list(apply_primitive(loop, op).bits) == reference_execute(loop, [op])
+
+
+def check_routed_step(m, head, positions, rng):
+    bits = tuple(rng.getrandbits(1) for _ in range(3 * m))
+    loop = ChainLoop(m, bits, head=head)
+    ops, pulses = compile_cooling_step(loop, positions)
+    p1, p2, p3 = positions
+    want = list(bits)
+    want[p1] = majority((bits[p1], bits[p2], bits[p3]))
+    want[p2] = bits[p1] ^ bits[p2]
+    want[p3] = bits[p1] ^ bits[p3]
+    assert list(execute(loop, ops).bits) == want, (m, head, positions)
+    assert pulses == len(ops) <= 24 * m + 9, (m, head, positions)
+
+
+class TestRoutedCoolingStep:
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_every_triple_and_head(self, m):
+        rng = random.Random(m)
+        for head in range(m):
+            for positions in permutations(range(3 * m), 3):
+                check_routed_step(m, head, positions, rng)
+
+    @pytest.mark.parametrize("m", [9, 21, 41])
+    def test_random_triples(self, m):
+        rng = random.Random(1000 + m)
+        for _ in range(100):
+            check_routed_step(m, rng.randrange(m), tuple(rng.sample(range(3 * m), 3)), rng)
+
+    def test_operands_in_head_order_need_only_the_gates(self):
+        ops, pulses = compile_cooling_step(ChainLoop(5, (0,) * 15, head=2), (6, 7, 8))
+        assert pulses == 3
+        assert [op.kind for op in ops] == ["HEAD"] * 3
+
+    def test_phases_mirror_around_the_head_gates(self):
+        ops, pulses = compile_cooling_step(ChainLoop(9, (0,) * 27, head=4), (3, 25, 13))
+        routing = (pulses - 3) // 2
+        assert ops[routing + 3:] == ops[:routing][::-1]
+        assert [op.gate.kind for op in ops[routing:routing + 3]] == ["CNOT", "CNOT", "TOFFOLI"]
+
+    @pytest.mark.parametrize("positions", [(1, 2), (1, 2, 3, 4)])
+    def test_needs_exactly_three_positions(self, positions):
+        with pytest.raises(ValueError, match="exactly three"):
+            compile_cooling_step(ChainLoop(3, (0,) * 9), positions)
+
+    def test_out_of_range_position_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            compile_cooling_step(ChainLoop(3, (0,) * 9), (0, 1, 9))
