@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bias as bias_mod
-from . import circuits, cooling, limits, noise, tape
+from . import circuits, cooling, limits, tape
 from .bias import ErrorRates
 from .distribution import product_distribution
 from .jsonio import dumps as jdumps
@@ -252,8 +252,8 @@ def _cmd_simulate(args) -> tuple[object, str]:
         if not circuit.noise_sites:
             raise ValueError("circuit has no noise sites; rates are meaningless")
         record.update(eps0=rates.eps0, eps1=rates.eps1)
-        record["output_bias"] = noise.enumerate_noisy_output_bias(
-            circuit, biases, rates, output_bit=args.output_bit)
+        dist = circuit.run_with_channels(product_distribution(biases), rates)
+        record["output_bias"] = dist.marginal_bias(args.output_bit)
     else:
         dist = circuit.run(product_distribution(biases))
         if args.postselect is not None:

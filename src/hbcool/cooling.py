@@ -79,6 +79,12 @@ def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger
     }
 
 
+def _levels_ledger(k: int) -> CostLedger:
+    # a depth-k ternary tree takes 3^k bits and applies (3^k - 1) / 2 majority steps
+    bits = 3**k
+    return CostLedger(bits_consumed=bits, three_bc_ops=(bits - 1) // 2, recursion_depth=k)
+
+
 def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResult:
     """Triple-and-discard recursion from bias b_i up to at least b_t.
 
@@ -96,20 +102,14 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
         return CoolingResult(final_bias=b_t, ledger=ledger, stats=stats)
     if mode != "exact":
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    ledger = CostLedger()
     trace = []
     b, k = b_i, 0
     while b < b_t:
         b = three_bc_bias(b)
         k += 1
-        trace.append(_trace_entry(k, "majority-level", None, [b], ledger))
-    bits = 3**k
-    # a depth-k ternary tree applies (3^k - 1) / 2 majority steps in total
-    ledger.bits_consumed = bits
-    ledger.three_bc_ops = (bits - 1) // 2
-    ledger.recursion_depth = k
-    for entry in trace:
-        entry["ledger"] = ledger.as_dict()
+        trace.append(_trace_entry(k, "majority-level", None, [b], _levels_ledger(k)))
+    ledger = _levels_ledger(k)
+    bits = ledger.bits_consumed
     stats = {"mode": mode, "k": k, "bits": bits, "bits_ceil": bits}
     return CoolingResult(final_bias=b, ledger=ledger, stats=stats, trace=trace)
 
@@ -319,7 +319,6 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
     if model not in limits.MODEL_LABELS:
         raise ValueError(f"unknown model {model!r}")
     trace = []
-    ledger = CostLedger()
     if algorithm == "simple-recursive":
         update = limits.make_model(model, rates).update
         b, steps = b_i, 0
@@ -330,9 +329,9 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
                 break
             b = nb
             steps += 1
-            ledger.three_bc_ops += 1
-            trace.append(_trace_entry(steps, "noisy-majority-level", None, [b], ledger))
-        ledger.recursion_depth = steps
+            trace.append(_trace_entry(steps, "noisy-majority-level", None, [b],
+                                      _levels_ledger(steps)))
+        ledger = _levels_ledger(steps)
         stats = {"algorithm": algorithm, "model": model, "steps": steps,
                  "reached_target": b >= b_t}
         return CoolingResult(final_bias=b, ledger=ledger, stats=stats, trace=trace)
@@ -341,6 +340,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
             raise ValueError("fibonacci schedule supports the after-step models only")
         if model == limits.SYM_AFTER and rates.d != 0.0:
             raise ValueError("sym-after requires a symmetric channel")
+        ledger = CostLedger()
         sequence = [b_i, b_i]
         steps = 0
         while sequence[-1] < b_t and steps < max_steps:

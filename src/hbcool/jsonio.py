@@ -7,6 +7,19 @@ import math
 
 __all__ = ["dumps"]
 
+_DIGITS = 4000
+_CHUNK = 10**_DIGITS
+
+
+def _int_text(n: int) -> str:
+    # str() refuses ints of more than 4300 digits, which 3^k ledgers can reach
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    head, tail = divmod(n, _CHUNK)
+    return _int_text(head) + str(tail).zfill(_DIGITS)
+
 
 def _emit(obj) -> str:
     if obj is None:
@@ -16,7 +29,7 @@ def _emit(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return str(obj)
+        return _int_text(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite float {obj!r}")

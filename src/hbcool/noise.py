@@ -1,10 +1,17 @@
-"""Exhaustive noisy-circuit enumeration and optimal-permutation search.
+"""Noisy-circuit transfer tables, exhaustive enumeration, and
+optimal-permutation search.
 
-The enumerator is the brute-force oracle for every closed-form noisy
-bias update in this package: it sums exact tuple probabilities over all
-(input state) x (error pattern) combinations, with per-site flip
-probabilities that may depend on the bit's value at the site (the
-asymmetric channel). No sampling is involved anywhere.
+`transfer_table` is the production path for exact noisy outputs: for a
+fixed circuit and fixed rates the output is linear in the input
+distribution, so one pass of channel propagation per input basis state
+gives P(output bit reads 0 | x), and any product input is then a short
+weighted sum.
+
+The tuple enumerator is the brute-force oracle for every noisy bias
+update in this package and is called only by tests: it sums exact tuple
+probabilities over all (input state) x (error pattern) combinations,
+with per-site flip probabilities that may depend on the bit's value at
+the site (the asymmetric channel). No sampling is involved anywhere.
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ from typing import Sequence
 
 from .bias import ErrorRates, prob_from_bias
 from .circuits import Circuit
+from .distribution import JointDistribution
 
 __all__ = [
+    "transfer_table",
     "pattern_bits",
     "pattern_index",
     "symmetric_pattern_probability",
@@ -55,6 +64,27 @@ def _input_probabilities(width: int, input_bias) -> list[float]:
         if len(biases) != width:
             raise ValueError(f"need {width} biases, got {len(biases)}")
     return [prob_from_bias(b) for b in biases]
+
+
+def transfer_table(circuit: Circuit, rates: ErrorRates,
+                   output_bit: int = 0) -> tuple[float, ...]:
+    """P(output bit reads 0 | input basis state x), for every x.
+
+    Each one-hot basis state is pushed through `Circuit.run_with_channels`.
+    The output bias for independent input bits is then
+    2 * sum_x P(x) * table[x] - 1. Costs 2^width propagations of
+    2^width-entry vectors, so it suits narrow circuits.
+    """
+    if not (0 <= output_bit < circuit.width):
+        raise ValueError("output bit out of range")
+    size = 1 << circuit.width
+    table = []
+    for x in range(size):
+        basis = [0.0] * size
+        basis[x] = 1.0
+        out = circuit.run_with_channels(JointDistribution(basis, validate=False), rates)
+        table.append(out.prob_bit_is(output_bit, 0))
+    return tuple(table)
 
 
 def enumerate_noisy_output_bias(circuit: Circuit, input_bias, rates: ErrorRates,

@@ -18,6 +18,7 @@ from hbcool.circuits import (cnot_cswap_majority, majority_circuit_cswap,
 from hbcool.cooling import (fibonacci_algorithm, heatbath_recursive,
                             random_hb_trace_check, run_with_noise, simple_recursive)
 from hbcool.distribution import product_distribution
+from hbcool import limits
 from hbcool.limits import (ASYM_AFTER, SYM_AFTER, blim_asym_after,
                            blim_asym_after_second_order, blim_asym_during,
                            blim_asym_during_second_order, blim_sym_after,
@@ -198,3 +199,15 @@ def test_criterion_10_noisy_runs_saturate_at_the_limit():
         r = ErrorRates.from_sd(s, d)
         ss = steady_state_bias_noisy(ba, bb, r)
         assert abs(debias_step(three_bc_bias_unequal(ba, bb, ss), r) - ss) <= 1e-9
+
+
+def test_criterion_11_exact_asym_during_limit_within_budget():
+    """The exact asym-during limit, transfer table built cold, takes under 50 ms."""
+    rates = ErrorRates.from_sd(0.02, 0.01)
+
+    def cold_report():
+        limits._asym_during_weight_sums.cache_clear()
+        return limits.limit_report("asym-during", rates)
+
+    report = timed(0.05, cold_report)
+    assert 0.0 < report.b_lim < 1.0

@@ -1,12 +1,16 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import math
 import shutil
 import subprocess
 
 import pytest
 
+from hbcool.bias import ErrorRates, debias_step
+from hbcool.circuits import circuit_from_text
 from hbcool.cli import main
+from hbcool.noise import enumerate_noisy_output_bias
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +168,19 @@ class TestEfficiency:
                        "--noise-model", "sym-after", "--eps", "0.01")
         assert rec["final_bias"] == pytest.approx(0.9793792286287205, abs=1e-6)
 
+    def test_noisy_run_near_threshold_prints_every_ledger_digit(self, capsys):
+        # about 9,200 levels: 3^k has more digits than int/str conversion allows by
+        # default, so the JSON is read back with the ints kept as text
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "simple",
+                            "--bi", "1e-5", "--target", "0.9",
+                            "--noise-model", "sym-after", "--eps", "0.166")
+        assert code == 0, out[:200]
+        ledger = json.loads(out, parse_int=str)["ledger"]
+        k = int(ledger["recursion_depth"])
+        bits = ledger["bits_consumed"]
+        assert len(bits) == math.floor(k * math.log10(3)) + 1 > 4300
+        assert int(bits[-40:]) == pow(3, k, 10**40)
+
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
                             "--bi", "0.2", "--target", "0.9", "--trace")
@@ -208,6 +225,22 @@ class TestSimulate:
         rec = run_json(capsys, "simulate", "--builtin", "majority-toffoli",
                        "--bias", "0.5", "--eps", "0.01")
         assert rec["output_bias"] == pytest.approx(0.6365050903959999, abs=1e-12)
+
+    def test_noisy_run_beyond_enumeration_cap(self, capsys, tmp_path):
+        # 13 bits and 12 sites on bit 0: 2^25 tuples, past the enumerator's cap
+        text = "NOT 12\n" + "NOISE 0 0\n" * 12
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        rec = run_json(capsys, "simulate", "--circuit", str(path), "--bias", "0.6",
+                       "--eps0", "0.01", "--eps1", "0.03")
+        rates = ErrorRates(0.01, 0.03)
+        b = 0.6
+        for _ in range(12):
+            b = debias_step(b, rates)
+        assert rec["width"] == 13
+        assert rec["output_bias"] == pytest.approx(b, abs=1e-12)
+        with pytest.raises(ValueError, match="2\\^24"):
+            enumerate_noisy_output_bias(circuit_from_text(text), 0.6, rates)
 
     def test_circuit_file_with_postselect(self, capsys, tmp_path):
         path = tmp_path / "twobc.txt"

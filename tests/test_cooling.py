@@ -224,6 +224,17 @@ class TestRunWithNoise:
         assert [e["biases_after"] for e in noisy.trace] == \
                [e["biases_after"] for e in clean.trace]
 
+    def test_zero_noise_ledgers_match_noiseless_run(self):
+        clean = simple_recursive(1e-3, 0.9, mode="exact")
+        noisy = run_with_noise("simple-recursive", 1e-3, 0.9,
+                               ErrorRates.symmetric(0.0), model=SYM_AFTER)
+        assert noisy.ledger == clean.ledger
+        assert [e["ledger"] for e in noisy.trace] == [e["ledger"] for e in clean.trace]
+        assert len(clean.trace) == clean.stats["k"]
+        for j, entry in enumerate(clean.trace, start=1):
+            assert entry["ledger"] == {"bits_consumed": 3**j, "three_bc_ops": (3**j - 1) // 2,
+                                       "heat_bath_contacts": 0, "recursion_depth": j}
+
     @pytest.mark.parametrize("eps", [0.001, 0.01])
     def test_sym_after_saturates_at_limit(self, eps):
         result = run_with_noise("simple-recursive", 1e-5, 1.0,

@@ -10,7 +10,10 @@ import warnings
 
 import pytest
 
+from hbcool import limits, noise
 from hbcool.bias import ErrorRates, three_bc_bias
+from hbcool.circuits import majority_circuit_toffoli
+from hbcool.cooling import run_with_noise
 from hbcool.limits import (
     ASYM_AFTER,
     ASYM_DURING,
@@ -223,6 +226,30 @@ class TestAsymmetricDuring:
             newbias_sym_during(1.5, 0.01)
         with pytest.raises(ValueError):
             newbias_asym_during(-1.5, ErrorRates.symmetric(0.01), mode="second_order")
+
+    @pytest.mark.parametrize("rates", [ErrorRates.from_sd(0.02, 0.01), ErrorRates(0.0, 0.3)],
+                             ids=["small", "one-sided"])
+    @pytest.mark.parametrize("b", [-1.0, -0.5, 0.0, 0.3, 1.0])
+    def test_exact_mode_matches_tuple_enumeration(self, b, rates):
+        want = noise.enumerate_noisy_output_bias(majority_circuit_toffoli(), b, rates)
+        assert newbias_asym_during(b, rates, mode="exact") == pytest.approx(want, abs=1e-14)
+
+    def test_exact_mode_bias_range_enforced(self):
+        with pytest.raises(ValueError):
+            newbias_asym_during(1.5, ErrorRates.symmetric(0.01), mode="exact")
+
+    def test_production_paths_never_enumerate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tuple enumerator is a test oracle only")
+
+        monkeypatch.setattr(noise, "enumerate_noisy_output_bias", refuse)
+        monkeypatch.setattr(limits, "enumerate_noisy_output_bias", refuse)
+        limits._asym_during_weight_sums.cache_clear()
+        rates = ErrorRates.from_sd(0.02, 0.01)
+        report = limit_report(ASYM_DURING, rates)
+        run = run_with_noise("simple-recursive", 1e-3, 1.0, rates, model=ASYM_DURING)
+        assert 0.0 < report.b_lim < 1.0
+        assert abs(run.final_bias - report.b_lim) <= 1e-6
 
     def test_blim_frozen_value(self):
         rates = ErrorRates.from_sd(0.02, 0.01)

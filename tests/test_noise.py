@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from hbcool.bias import ErrorRates, three_bc_bias
-from hbcool.circuits import majority_circuit_toffoli
+from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.distribution import product_distribution
 from hbcool.noise import (
     best_bias_over_permutations,
@@ -22,6 +22,7 @@ from hbcool.noise import (
     pattern_bits,
     pattern_index,
     symmetric_pattern_probability,
+    transfer_table,
 )
 
 TOL = 1e-12
@@ -154,6 +155,65 @@ class TestEnumeration:
         enum = enumerate_noisy_output_bias(circuit, biases, rates, output_bit=2)
         d = circuit.run_with_channels(product_distribution(biases), rates)
         assert enum == pytest.approx(d.marginal_bias(2), abs=1e-14)
+
+
+LEADING_SITE_TEXT = "NOT 1\nCNOT 2 1:1\nNOISE 0 0\nNOISE 1 1\nNOISE 2 2\n"
+
+# 5 bits and 8 sites: 2^13 tuples keep the enumerator under 0.1 s per call
+FIVE_BIT_TEXT = """
+CNOT 1 0:1
+CNOT 2 0:1
+TOFFOLI 0 1:1 2:1
+CSWAP 3 4 0:1
+CNOT 4 3:0
+NOISE 0 3
+NOISE 1 0
+NOISE 1 1
+NOISE 2 2
+NOISE 3 0
+NOISE 3 4
+NOISE 4 3
+NOISE 5 4
+"""
+
+TABLE_CASES = [
+    pytest.param(majority_circuit_toffoli(), 0, [0.3, -0.2, 0.6], id="majority"),
+    pytest.param(circuit_from_text(LEADING_SITE_TEXT), 2, [0.3, -0.2, 0.5],
+                 id="leading-site"),
+    pytest.param(circuit_from_text(FIVE_BIT_TEXT), 4, [0.7, -0.4, 0.1, 0.55, -0.9],
+                 id="five-bit"),
+]
+
+
+def table_bias(table, biases):
+    """2 * sum_x P(x) q_x - 1 for independent input bits."""
+    ps = [(1 + b) / 2 for b in biases]
+    terms = [q * math.prod(p if (x >> i) & 1 == 0 else 1 - p for i, p in enumerate(ps))
+             for x, q in enumerate(table)]
+    return 2 * math.fsum(terms) - 1
+
+
+class TestTransferTable:
+    @pytest.mark.parametrize("eps0, eps1", [(0.0, 0.0), (0.01, 0.01), (0.005, 0.015),
+                                            (0.0, 0.3), (0.2, 0.45)])
+    @pytest.mark.parametrize("circuit, out_bit, biases", TABLE_CASES)
+    def test_weighted_sum_matches_enumeration(self, circuit, out_bit, biases, eps0, eps1):
+        rates = ErrorRates(eps0, eps1)
+        table = transfer_table(circuit, rates, output_bit=out_bit)
+        assert len(table) == 1 << circuit.width
+        enum = enumerate_noisy_output_bias(circuit, biases, rates, output_bit=out_bit)
+        assert table_bias(table, biases) == pytest.approx(enum, abs=1e-14)
+
+    @pytest.mark.parametrize("circuit, out_bit, biases", TABLE_CASES)
+    def test_noiseless_entries_are_the_output_bit(self, circuit, out_bit, biases):
+        table = transfer_table(circuit, ErrorRates(0.0, 0.0), output_bit=out_bit)
+        for x, q in enumerate(table):
+            reads_zero = (circuit.apply_to_state(x) >> out_bit) & 1 == 0
+            assert q == (1.0 if reads_zero else 0.0)
+
+    def test_output_bit_range_checked(self):
+        with pytest.raises(ValueError):
+            transfer_table(majority_circuit_toffoli(), ErrorRates(0.0, 0.0), output_bit=3)
 
 
 class TestOptimalPermutation:
