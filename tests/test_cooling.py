@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -231,9 +232,23 @@ class TestRunWithNoise:
         assert noisy.ledger == clean.ledger
         assert [e["ledger"] for e in noisy.trace] == [e["ledger"] for e in clean.trace]
         assert len(clean.trace) == clean.stats["k"]
-        for j, entry in enumerate(clean.trace, start=1):
-            assert entry["ledger"] == {"bits_consumed": 3**j, "three_bc_ops": (3**j - 1) // 2,
-                                       "heat_bath_contacts": 0, "recursion_depth": j}
+        for result in (clean, noisy):
+            lines = trace_to_jsonl(result).splitlines()
+            for j, line in enumerate(lines, start=1):
+                assert json.loads(line)["ledger"] == {
+                    "bits_consumed": 3**j, "three_bc_ops": (3**j - 1) // 2,
+                    "heat_bath_contacts": 0, "recursion_depth": j}
+
+    def test_many_levels_keep_the_trace_linear(self):
+        # near the sym-after threshold the run takes thousands of levels; each
+        # entry keeps its depth, not its 3^j counts
+        r = run_with_noise("simple-recursive", 1e-5, 0.9, ErrorRates.symmetric(0.166),
+                           model=SYM_AFTER)
+        assert r.stats["steps"] > 5000
+        assert r.ledger.recursion_depth == r.stats["steps"] == len(r.trace)
+        assert all(e["ledger"] == {"recursion_depth": e["step"]} for e in r.trace)
+        ints = [v for e in r.trace for v in e["ledger"].values()]
+        assert sum(sys.getsizeof(v) for v in ints) <= 32 * len(r.trace)
 
     @pytest.mark.parametrize("eps", [0.001, 0.01])
     def test_sym_after_saturates_at_limit(self, eps):

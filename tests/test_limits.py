@@ -234,6 +234,12 @@ class TestAsymmetricDuring:
         want = noise.enumerate_noisy_output_bias(majority_circuit_toffoli(), b, rates)
         assert newbias_asym_during(b, rates, mode="exact") == pytest.approx(want, abs=1e-14)
 
+    def test_model_weights_give_the_same_update(self):
+        rates = ErrorRates(0.005, 0.015)
+        update = make_model(ASYM_DURING, rates).update
+        for b in (-1.0, -0.5, 0.0, 0.3, 1.0):
+            assert update(b) == newbias_asym_during(b, rates, mode="exact")
+
     def test_exact_mode_bias_range_enforced(self):
         with pytest.raises(ValueError):
             newbias_asym_during(1.5, ErrorRates.symmetric(0.01), mode="exact")
@@ -244,7 +250,6 @@ class TestAsymmetricDuring:
 
         monkeypatch.setattr(noise, "enumerate_noisy_output_bias", refuse)
         monkeypatch.setattr(limits, "enumerate_noisy_output_bias", refuse)
-        limits._asym_during_weight_sums.cache_clear()
         rates = ErrorRates.from_sd(0.02, 0.01)
         report = limit_report(ASYM_DURING, rates)
         run = run_with_noise("simple-recursive", 1e-3, 1.0, rates, model=ASYM_DURING)

@@ -157,30 +157,30 @@ class TestEnumeration:
         assert enum == pytest.approx(d.marginal_bias(2), abs=1e-14)
 
 
-LEADING_SITE_TEXT = "NOT 1\nCNOT 2 1:1\nNOISE 0 0\nNOISE 1 1\nNOISE 2 2\n"
+# the leading-site circuit above with bits 0 and 2 swapped, so the output is bit 0
+LEADING_SITE_TEXT = "NOT 1\nCNOT 0 1:1\nNOISE 0 2\nNOISE 1 1\nNOISE 2 0\n"
 
 # 5 bits and 8 sites: 2^13 tuples keep the enumerator under 0.1 s per call
 FIVE_BIT_TEXT = """
-CNOT 1 0:1
-CNOT 2 0:1
-TOFFOLI 0 1:1 2:1
-CSWAP 3 4 0:1
-CNOT 4 3:0
+CNOT 1 4:1
+CNOT 2 4:1
+TOFFOLI 4 1:1 2:1
+CSWAP 3 0 4:1
+CNOT 0 3:0
 NOISE 0 3
-NOISE 1 0
+NOISE 1 4
 NOISE 1 1
 NOISE 2 2
-NOISE 3 0
 NOISE 3 4
+NOISE 3 0
 NOISE 4 3
-NOISE 5 4
+NOISE 5 0
 """
 
 TABLE_CASES = [
-    pytest.param(majority_circuit_toffoli(), 0, [0.3, -0.2, 0.6], id="majority"),
-    pytest.param(circuit_from_text(LEADING_SITE_TEXT), 2, [0.3, -0.2, 0.5],
-                 id="leading-site"),
-    pytest.param(circuit_from_text(FIVE_BIT_TEXT), 4, [0.7, -0.4, 0.1, 0.55, -0.9],
+    pytest.param(majority_circuit_toffoli(), [0.3, -0.2, 0.6], id="majority"),
+    pytest.param(circuit_from_text(LEADING_SITE_TEXT), [0.5, -0.2, 0.3], id="leading-site"),
+    pytest.param(circuit_from_text(FIVE_BIT_TEXT), [-0.9, -0.4, 0.1, 0.55, 0.7],
                  id="five-bit"),
 ]
 
@@ -196,24 +196,26 @@ def table_bias(table, biases):
 class TestTransferTable:
     @pytest.mark.parametrize("eps0, eps1", [(0.0, 0.0), (0.01, 0.01), (0.005, 0.015),
                                             (0.0, 0.3), (0.2, 0.45)])
-    @pytest.mark.parametrize("circuit, out_bit, biases", TABLE_CASES)
-    def test_weighted_sum_matches_enumeration(self, circuit, out_bit, biases, eps0, eps1):
+    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
+    def test_weighted_sum_matches_enumeration(self, circuit, biases, eps0, eps1):
         rates = ErrorRates(eps0, eps1)
-        table = transfer_table(circuit, rates, output_bit=out_bit)
+        table = transfer_table(circuit, rates)
         assert len(table) == 1 << circuit.width
-        enum = enumerate_noisy_output_bias(circuit, biases, rates, output_bit=out_bit)
+        enum = enumerate_noisy_output_bias(circuit, biases, rates)
         assert table_bias(table, biases) == pytest.approx(enum, abs=1e-14)
 
-    @pytest.mark.parametrize("circuit, out_bit, biases", TABLE_CASES)
-    def test_noiseless_entries_are_the_output_bit(self, circuit, out_bit, biases):
-        table = transfer_table(circuit, ErrorRates(0.0, 0.0), output_bit=out_bit)
+    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
+    def test_noiseless_entries_are_the_output_bit(self, circuit, biases):
+        table = transfer_table(circuit, ErrorRates(0.0, 0.0))
         for x, q in enumerate(table):
-            reads_zero = (circuit.apply_to_state(x) >> out_bit) & 1 == 0
+            reads_zero = circuit.apply_to_state(x) & 1 == 0
             assert q == (1.0 if reads_zero else 0.0)
 
-    def test_output_bit_range_checked(self):
-        with pytest.raises(ValueError):
-            transfer_table(majority_circuit_toffoli(), ErrorRates(0.0, 0.0), output_bit=3)
+    def test_width_limit(self):
+        # the input copy doubles the register, which holds at most 20 bits
+        assert len(transfer_table(circuit_from_text("NOT 9\n"), ErrorRates(0.0, 0.0))) == 1024
+        with pytest.raises(ValueError, match="at most 10"):
+            transfer_table(circuit_from_text("NOT 10\n"), ErrorRates(0.0, 0.0))
 
 
 class TestOptimalPermutation:
