@@ -225,6 +225,8 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
         c = weights if weights is not None else _asym_during_weight_sums(rates)
         return 2.0 * (c[0] * p**3 + c[1] * p * p * q + c[2] * p * q * q + c[3] * q**3) - 1.0
     if mode == "second_order":
+        if weights is not None:
+            raise ValueError("weights apply to exact mode only")
         s, d = rates.s, rates.d
         return 0.5 * ((5.0 * d + 4.0 * d * d - 6.0 * s * d)
                       + (3.0 - 12.0 * s + 19.0 * s * s - d * d + 4.0 * d * s) * b
