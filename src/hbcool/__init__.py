@@ -7,7 +7,6 @@ from .bias import (
     bias_from_prob,
     debias_step,
     fibonacci,
-    iterate_to_fixed_point,
     prob_from_bias,
     steady_state_bias,
     steady_state_bias_noisy,

@@ -27,8 +27,6 @@ __all__ = [
     "debias_step",
     "steady_state_bias_noisy",
     "fibonacci",
-    "fibonacci_numbers",
-    "iterate_to_fixed_point",
 ]
 
 
@@ -170,28 +168,3 @@ def fibonacci(n: int) -> int:
         a, b = b, a + b
     return a
 
-
-def fibonacci_numbers(n: int) -> list[int]:
-    """[F(1), ..., F(n)] as exact integers."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    seq = [1, 1]
-    while len(seq) < n:
-        seq.append(seq[-1] + seq[-2])
-    return seq[:n]
-
-
-def iterate_to_fixed_point(step, start: float, tol: float = 1e-12,
-                           max_iter: int = 1_000_000) -> float:
-    """Iterate x -> step(x) until |step(x) - x| < tol.
-
-    Raises RuntimeError after max_iter iterations; the maps used here are
-    contractions on their valid domains, so non-convergence is a bug.
-    """
-    x = float(start)
-    for _ in range(max_iter):
-        nx = step(x)
-        if abs(nx - x) < tol:
-            return nx
-        x = nx
-    raise RuntimeError(f"no fixed point within {max_iter} iterations")

@@ -142,19 +142,9 @@ def _cmd_limits(args) -> tuple[object, str]:
     return record, text
 
 
-def _threshold_rows() -> list[dict]:
-    return [
-        {"model": limits.SYM_AFTER, "threshold": limits.threshold_sym_after(),
-         "threshold_text": "1/6"},
-        {"model": limits.SYM_DURING, "threshold": limits.threshold_sym_during(),
-         "threshold_text": f"{limits.threshold_sym_during():.6f}"},
-        {"model": limits.ASYM_AFTER, "threshold": None, "threshold_text": "N/A"},
-        {"model": limits.ASYM_DURING, "threshold": None, "threshold_text": "N/A"},
-    ]
-
-
 def _cmd_thresholds(_args) -> tuple[object, str]:
-    rows = _threshold_rows()
+    rows = [{"model": label, "threshold": value, "threshold_text": text}
+            for label, (value, text) in limits.THRESHOLDS.items()]
     text = "\n".join(f"{r['model']} {r['threshold_text']}" for r in rows)
     return rows, text
 
@@ -180,11 +170,13 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     if args.noise_model is not None:
         if rates is None:
             raise ValueError("--noise-model requires error rates")
+        if args.mode != "exact":
+            raise ValueError("noisy runs are exact; --mode approx does not apply")
         name = {"simple": "simple-recursive", "fibonacci": "fibonacci"}.get(args.algorithm)
         if name is None:
             raise ValueError(f"noisy runs support simple/fibonacci, not {args.algorithm!r}")
         result = cooling.run_with_noise(name, args.bi, args.target, rates,
-                                        model=args.noise_model)
+                                        model=args.noise_model, tol=args.tol)
     elif args.algorithm == "simple":
         result = cooling.simple_recursive(args.bi, args.target, mode=args.mode)
     elif args.algorithm == "heatbath":
@@ -253,15 +245,15 @@ def _cmd_simulate(args) -> tuple[object, str]:
             raise ValueError("circuit has no noise sites; rates are meaningless")
         record.update(eps0=rates.eps0, eps1=rates.eps1)
         dist = circuit.run_with_channels(product_distribution(biases), rates)
-        record["output_bias"] = dist.marginal_bias(args.output_bit)
     else:
         dist = circuit.run(product_distribution(biases))
-        if args.postselect is not None:
-            bit_txt, val_txt = args.postselect.split("=", 1)
-            dist, prob = dist.condition_on(int(bit_txt), int(val_txt))
-            record["postselect"] = args.postselect
-            record["accept_prob"] = prob
-        record["output_bias"] = dist.marginal_bias(args.output_bit)
+    if args.postselect is not None:
+        bit_txt, val_txt = args.postselect.split("=", 1)
+        dist, prob = dist.condition_on(int(bit_txt), int(val_txt))
+        record["postselect"] = args.postselect
+        record["accept_prob"] = prob
+    record["output_bias"] = dist.marginal_bias(args.output_bit)
+    if rates is None:
         record["marginals"] = [dist.marginal_bias(i) for i in range(circuit.width)]
     return record, f"output bias (bit {args.output_bit}): {_fmt_float(record['output_bias'])}"
 

@@ -11,6 +11,14 @@ Three schedules are provided:
     new bit to the steady state of repeated compression against its two
     predecessors.
 
+run_with_noise re-runs the simple and Fibonacci schedules with the noisy
+update of a noise model in place of the clean majority step.
+
+All of them iterate one bias map through two loops. _climb steps a bias
+level by level toward the target (simple_recursive, heatbath_recursive
+and the noisy simple run); _settle drives a fresh bit to the steady state
+against a fixed pair (the exact and the noisy Fibonacci runs).
+
 Every run returns a CoolingResult carrying the achieved bias, a cost
 ledger, algorithm-specific stats, and an optional per-step trace that
 exports as JSON lines.
@@ -18,14 +26,14 @@ exports as JSON lines.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import limits
-from .bias import (ErrorRates, debias_step, fibonacci_numbers, three_bc_bias,
-                   three_bc_bias_unequal)
+from .bias import ErrorRates, debias_step, three_bc_bias, three_bc_bias_unequal
 from .jsonio import dumps as json_dumps
 
 __all__ = [
@@ -70,13 +78,8 @@ def _check_targets(b_i: float, b_t: float) -> None:
 
 
 def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
-    return {
-        "step": step,
-        "op": op,
-        "positions": positions,
-        "biases_after": list(biases_after),
-        "ledger": ledger.as_dict(),
-    }
+    return {"step": step, "op": op, "positions": positions,
+            "biases_after": list(biases_after), "ledger": ledger.as_dict()}
 
 
 def _levels_ledger(k: int) -> CostLedger:
@@ -90,9 +93,38 @@ def _levels_ledger(k: int) -> CostLedger:
 _LEVEL_OPS = ("majority-level", "noisy-majority-level")
 
 
-def _level_entry(step: int, op: str, b: float) -> dict:
-    return {"step": step, "op": op, "positions": None, "biases_after": [b],
-            "ledger": {"recursion_depth": step}}
+def _level_trace(op: str, levels: list[float]) -> list[dict]:
+    return [{"step": j, "op": op, "positions": None, "biases_after": [b],
+             "ledger": {"recursion_depth": j}} for j, b in enumerate(levels, start=1)]
+
+
+def _climb(update: Callable[[float], float], b: float, b_t: float, tol: float = 0.0,
+           max_steps: Optional[int] = None) -> tuple[float, list[float]]:
+    """Iterate b <- update(b) until b reaches b_t; returns (final bias, levels).
+
+    levels holds the bias after each step. The climb stalls, without
+    counting the step, once a step gains at most tol * b; it then ends at
+    the better of the two biases. At most max_steps steps are taken.
+    """
+    levels: list[float] = []
+    while b < b_t and (max_steps is None or len(levels) < max_steps):
+        nb = update(b)
+        if nb - b <= tol * b:
+            return max(b, nb), levels
+        b = nb
+        levels.append(b)
+    return b, levels
+
+
+def _settle(step: Callable[[float], float], x: float, tol: float,
+            budget: Optional[int] = None) -> tuple[float, int]:
+    """Iterate x <- step(x) until x moves by less than tol or budget steps
+    are spent; returns (the larger of the last two values, steps taken)."""
+    for steps in itertools.count(1):
+        nx = step(x)
+        if abs(nx - x) < tol or steps == budget:
+            return max(x, nx), steps
+        x = nx
 
 
 def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResult:
@@ -112,16 +144,12 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
         return CoolingResult(final_bias=b_t, ledger=ledger, stats=stats)
     if mode != "exact":
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    trace = []
-    b, k = b_i, 0
-    while b < b_t:
-        b = three_bc_bias(b)
-        k += 1
-        trace.append(_level_entry(k, "majority-level", b))
-    ledger = _levels_ledger(k)
+    b, levels = _climb(three_bc_bias, b_i, b_t)
+    ledger = _levels_ledger(len(levels))
     bits = ledger.bits_consumed
-    stats = {"mode": mode, "k": k, "bits": bits, "bits_ceil": bits}
-    return CoolingResult(final_bias=b, ledger=ledger, stats=stats, trace=trace)
+    stats = {"mode": mode, "k": len(levels), "bits": bits, "bits_ceil": bits}
+    return CoolingResult(final_bias=b, ledger=ledger, stats=stats,
+                         trace=_level_trace("majority-level", levels))
 
 
 def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
@@ -134,11 +162,7 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
     working register of 2*k_exact + 1 bits) is reported alongside.
     """
     _check_targets(b_i, b_t)
-    levels = []
-    b = b_i
-    while b < b_t:
-        b = three_bc_bias(b)
-        levels.append(b)
+    b, levels = _climb(three_bc_bias, b_i, b_t)
     k_exact = len(levels)
     m0 = 2 * k_exact + 1
     ledger = CostLedger(bits_consumed=m0, recursion_depth=k_exact)
@@ -216,12 +240,12 @@ class BoundCheck:
 
 def fibonacci_bound_check(state: RegisterBiases) -> BoundCheck:
     """Check the sorted biases against b_i * F(j) position by position."""
-    values = state.sorted_biases()
-    fibs = fibonacci_numbers(len(values))
-    for j, (value, f) in enumerate(zip(values, fibs), start=1):
+    f_prev, f = 0, 1  # F(0), F(1)
+    for j, value in enumerate(state.sorted_biases(), start=1):
         bound = state.initial_bias * f
         if value > bound + _BOUND_TOL:
             return BoundCheck(False, witness_index=j, witness_value=value, bound=bound)
+        f_prev, f = f, f_prev + f
     return BoundCheck(True)
 
 
@@ -291,14 +315,9 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
             raise RuntimeError("target not reached within max_n bits")
         older, newer = sequence[-2], sequence[-1]
         # drive the fresh bit to the pair's steady state, counting the loop
-        x = b_i
-        while True:
-            nx = three_bc_bias_unequal(older, newer, x)
-            ledger.three_bc_ops += 1
-            ledger.heat_bath_contacts += 2
-            if abs(nx - x) < tol:
-                break
-            x = nx
+        _, steps = _settle(lambda x: three_bc_bias_unequal(older, newer, x), b_i, tol)
+        ledger.three_bc_ops += steps
+        ledger.heat_bath_contacts += 2 * steps
         sequence.append((older + newer) / (1.0 + older * newer))
         j = len(sequence)
         trace.append(_trace_entry(j, "steady-state-majority", [j - 2, j - 1, j],
@@ -310,67 +329,51 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
     return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats, trace=trace)
 
 
-def _noisy_unequal_update(b1: float, b2: float, b3: float, rates: ErrorRates) -> float:
-    return debias_step(three_bc_bias_unequal(b1, b2, b3), rates)
-
-
 def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
                    model: str = limits.ASYM_AFTER, tol: float = 1e-12,
                    max_steps: int = 1_000_000) -> CoolingResult:
     """Re-run a schedule with every compression replaced by its noisy update.
 
-    The run stops once the update stops improving the best bias (or the
-    target is reached); the achieved supremum never exceeds the model's
-    bias limit. The fibonacci schedule supports the after-step models
-    only, via the unequal-bias update ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d.
+    The run stops once a step gains at most tol times the best bias (or
+    the target is reached, or max_steps updates are spent); the achieved
+    supremum never exceeds the model's bias limit. The fibonacci schedule
+    supports the after-step models only, via the unequal-bias update
+    ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d.
     """
     if not (0.0 < b_i <= b_t <= 1.0):
         raise ValueError("need 0 < b_i <= b_t <= 1")
     if model not in limits.MODEL_LABELS:
         raise ValueError(f"unknown model {model!r}")
-    trace = []
     if algorithm == "simple-recursive":
         update = limits.make_model(model, rates).update
-        b, steps = b_i, 0
-        while b < b_t and steps < max_steps:
-            nb = update(b)
-            if nb <= b + tol:
-                b = max(b, nb)
-                break
-            b = nb
-            steps += 1
-            trace.append(_level_entry(steps, "noisy-majority-level", b))
-        ledger = _levels_ledger(steps)
-        stats = {"algorithm": algorithm, "model": model, "steps": steps,
+        b, levels = _climb(update, b_i, b_t, tol, max_steps)
+        stats = {"algorithm": algorithm, "model": model, "steps": len(levels),
                  "reached_target": b >= b_t}
-        return CoolingResult(final_bias=b, ledger=ledger, stats=stats, trace=trace)
+        return CoolingResult(final_bias=b, ledger=_levels_ledger(len(levels)), stats=stats,
+                             trace=_level_trace("noisy-majority-level", levels))
     if algorithm == "fibonacci":
         if model not in (limits.SYM_AFTER, limits.ASYM_AFTER):
             raise ValueError("fibonacci schedule supports the after-step models only")
         if model == limits.SYM_AFTER and rates.d != 0.0:
             raise ValueError("sym-after requires a symmetric channel")
         ledger = CostLedger()
+        trace = []
         sequence = [b_i, b_i]
         steps = 0
         while sequence[-1] < b_t and steps < max_steps:
             older, newer = sequence[-2], sequence[-1]
-            x = b_i
-            while True:
-                nx = _noisy_unequal_update(older, newer, x, rates)
-                ledger.three_bc_ops += 1
-                ledger.heat_bath_contacts += 2
-                steps += 1
-                if abs(nx - x) < tol or steps >= max_steps:
-                    x = max(x, nx)
-                    break
-                x = nx
-            if x <= sequence[-1] + tol:
+            noisy = lambda x: debias_step(three_bc_bias_unequal(older, newer, x), rates)
+            x, n = _settle(noisy, b_i, tol, max_steps - steps)
+            steps += n
+            ledger.three_bc_ops += n
+            ledger.heat_bath_contacts += 2 * n
+            if x - newer <= tol * newer:
                 break
             sequence.append(x)
             j = len(sequence)
             trace.append(_trace_entry(j, "noisy-steady-state", [j - 2, j - 1, j],
                                       [x], ledger))
-        ledger.bits_consumed = len(sequence)
+        ledger.bits_consumed = ledger.recursion_depth = len(sequence)
         stats = {"algorithm": algorithm, "model": model, "n": len(sequence),
                  "sequence": sequence, "reached_target": sequence[-1] >= b_t}
         return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats,

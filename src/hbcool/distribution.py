@@ -13,7 +13,7 @@ import numpy as np
 
 from .bias import ErrorRates, prob_from_bias
 
-__all__ = ["MAX_WIDTH", "JointDistribution", "product_distribution", "uniform_distribution"]
+__all__ = ["MAX_WIDTH", "JointDistribution", "product_distribution"]
 
 MAX_WIDTH = 20
 
@@ -105,6 +105,3 @@ def product_distribution(biases: Sequence[float]) -> JointDistribution:
         probs = np.concatenate([probs * p, probs * (1.0 - p)])
     return JointDistribution(probs, validate=False)
 
-
-def uniform_distribution(width: int) -> JointDistribution:
-    return product_distribution([0.0] * width)

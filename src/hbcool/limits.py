@@ -38,8 +38,7 @@ __all__ = [
     "blim_sym_during", "blim_sym_during_second_order",
     "newbias_asym_after", "blim_asym_after", "blim_asym_after_second_order",
     "newbias_asym_during", "blim_asym_during", "blim_asym_during_second_order",
-    "blim_asym_after_from_initial_bias", "blim_asym_during_from_initial_bias",
-    "BiasUpdateModel", "make_model", "attracting_limit",
+    "THRESHOLDS", "BiasUpdateModel", "make_model", "attracting_limit",
     "LimitReport", "limit_report", "summary_table",
 ]
 
@@ -182,15 +181,12 @@ def blim_asym_after(rates: ErrorRates) -> float:
     return bisect_root(_asym_after_gain_cubic(rates), lo, 1.0 + 1e-9)
 
 
-def blim_asym_after_second_order(rates: ErrorRates) -> float:
-    s, d = rates.s, rates.d
+def _asym_after_second_order(s: float, d: float) -> float:
     return 1.0 - s + d - 1.5 * s * s - 1.5 * d * d + 3.0 * d * s
 
 
-def blim_asym_after_from_initial_bias(s: float, b_i: float) -> float:
-    """Second-order limit in terms of the relaxation speed and bath bias d/s."""
-    return (1.0 - s - 1.5 * s * s + b_i * s + 3.0 * b_i * s * s
-            - 1.5 * b_i * b_i * s * s)
+def blim_asym_after_second_order(rates: ErrorRates) -> float:
+    return _asym_after_second_order(rates.s, rates.d)
 
 
 # ----------------------------------------------------------- asymmetric, during
@@ -263,16 +259,24 @@ def blim_asym_during(rates: ErrorRates) -> float:
     return bisect_root(_asym_during_gain_cubic(rates), lo, 1.2)
 
 
+def _asym_during_second_order(s: float, d: float) -> float:
+    return 1.0 - 3.0 * s + 3.0 * d - 9.0 * d * d - 20.5 * s * s + 32.0 * d * s
+
+
 def blim_asym_during_second_order(rates: ErrorRates) -> float:
-    s, d = rates.s, rates.d
-    return (1.0 - 3.0 * s + 3.0 * d - 9.0 * d * d - 20.5 * s * s
-            + 32.0 * d * s)
+    return _asym_during_second_order(rates.s, rates.d)
 
 
-def blim_asym_during_from_initial_bias(s: float, b_i: float) -> float:
-    """Second-order during-model limit in terms of s and the bath bias d/s."""
-    return (1.0 - 3.0 * s - 20.5 * s * s + 3.0 * b_i * s
-            + 32.0 * b_i * s * s - 9.0 * b_i * b_i * s * s)
+# ------------------------------------------------------------------ thresholds
+
+# The one threshold table: each model's error-rate threshold as a value and
+# as printed text. The asymmetric models have none.
+THRESHOLDS: dict[str, tuple[Optional[float], str]] = {
+    SYM_AFTER: (threshold_sym_after(), "1/6"),
+    SYM_DURING: (threshold_sym_during(), f"{threshold_sym_during():.6f}"),
+    ASYM_AFTER: (None, "N/A"),
+    ASYM_DURING: (None, "N/A"),
+}
 
 
 # --------------------------------------------------------------- generic layer
@@ -353,13 +357,6 @@ class LimitReport:
         }
 
 
-_THRESHOLDS: dict[str, Callable[[], Optional[float]]] = {
-    SYM_AFTER: threshold_sym_after,
-    SYM_DURING: threshold_sym_during,
-    ASYM_AFTER: lambda: None,
-    ASYM_DURING: lambda: None,
-}
-
 _SECOND_ORDER: dict[str, Callable[[ErrorRates], float]] = {
     SYM_AFTER: lambda r: blim_sym_after_second_order(r.eps0),
     SYM_DURING: lambda r: blim_sym_during_second_order(r.eps0),
@@ -374,7 +371,7 @@ def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) 
         if rates is None:
             raise ValueError("rates required when model is given as a label")
         model = make_model(model, rates)
-    threshold = _THRESHOLDS[model.label]()
+    threshold, _ = THRESHOLDS[model.label]
     b_lim = attracting_limit(model.update)
     second = _SECOND_ORDER[model.label](model.rates)
     above = b_lim == 0.0
@@ -399,29 +396,12 @@ def summary_table(eps: float, s: float, b_i: float) -> list[dict]:
     _check_rate(s, hi=1.0)
     if not (0.0 <= b_i <= 1.0):
         raise ValueError("bath bias must be in [0, 1]")
-    return [
-        {
-            "model": SYM_AFTER,
-            "threshold": threshold_sym_after(),
-            "threshold_text": "1/6",
-            "b_lim_second_order": blim_sym_after_second_order(eps),
-        },
-        {
-            "model": SYM_DURING,
-            "threshold": threshold_sym_during(),
-            "threshold_text": f"{threshold_sym_during():.6f}",
-            "b_lim_second_order": blim_sym_during_second_order(eps),
-        },
-        {
-            "model": ASYM_AFTER,
-            "threshold": None,
-            "threshold_text": "N/A",
-            "b_lim_second_order": blim_asym_after_from_initial_bias(s, b_i),
-        },
-        {
-            "model": ASYM_DURING,
-            "threshold": None,
-            "threshold_text": "N/A",
-            "b_lim_second_order": blim_asym_during_from_initial_bias(s, b_i),
-        },
-    ]
+    second = {
+        SYM_AFTER: blim_sym_after_second_order(eps),
+        SYM_DURING: blim_sym_during_second_order(eps),
+        ASYM_AFTER: _asym_after_second_order(s, s * b_i),
+        ASYM_DURING: _asym_during_second_order(s, s * b_i),
+    }
+    return [{"model": label, "threshold": value, "threshold_text": text,
+             "b_lim_second_order": second[label]}
+            for label, (value, text) in THRESHOLDS.items()]

@@ -8,8 +8,10 @@ import subprocess
 import pytest
 
 from hbcool.bias import ErrorRates, debias_step
-from hbcool.circuits import circuit_from_text
+from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.cli import main
+from hbcool.cooling import run_with_noise
+from hbcool.distribution import product_distribution
 from hbcool.noise import enumerate_noisy_output_bias
 
 
@@ -181,6 +183,31 @@ class TestEfficiency:
         assert len(bits) == math.floor(k * math.log10(3)) + 1 > 4300
         assert int(bits[-40:]) == pow(3, k, 10**40)
 
+    def test_noisy_run_rejects_approx_mode(self, capsys):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "simple",
+                            "--bi", "1e-5", "--target", "0.9", "--mode", "approx",
+                            "--noise-model", "sym-after", "--eps", "0.01")
+        assert code == 1
+        assert "--mode approx" in json.loads(out)["error"]
+
+    def test_noisy_run_takes_tol(self, capsys):
+        argv = ("efficiency", "--algorithm", "simple", "--bi", "0.01",
+                "--target", "0.999", "--noise-model", "sym-after", "--eps", "0.01")
+        loose = run_json(capsys, *argv, "--tol", "1e-3")
+        want = run_with_noise("simple-recursive", 0.01, 0.999, ErrorRates.symmetric(0.01),
+                              model="sym-after", tol=1e-3)
+        assert loose["stats"]["steps"] == want.stats["steps"]
+        assert loose["final_bias"] == want.final_bias
+        assert loose["stats"]["steps"] < run_json(capsys, *argv)["stats"]["steps"]
+
+    def test_noisy_run_from_a_tiny_bias(self, capsys):
+        rec = run_json(capsys, "efficiency", "--algorithm", "simple",
+                       "--bi", "1e-13", "--target", "0.9",
+                       "--noise-model", "sym-after", "--eps", "0.001")
+        assert rec["stats"]["steps"] == 75
+        assert rec["stats"]["reached_target"]
+        assert rec["final_bias"] == pytest.approx(0.9129509464183877, abs=1e-12)
+
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
                             "--bi", "0.2", "--target", "0.9", "--trace")
@@ -249,6 +276,20 @@ class TestSimulate:
                        "--biases", "0.5,0.5", "--postselect", "1=0")
         assert rec["accept_prob"] == pytest.approx(0.625, abs=1e-12)
         assert rec["output_bias"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_noisy_run_with_postselect(self, capsys):
+        rec = run_json(capsys, "simulate", "--builtin", "majority-toffoli",
+                       "--biases", "0.5,0.3,0.2", "--eps", "0.01", "--postselect", "1=0")
+        plain = run_json(capsys, "simulate", "--builtin", "majority-toffoli",
+                         "--biases", "0.5,0.3,0.2", "--eps", "0.01")
+        dist = majority_circuit_toffoli().run_with_channels(
+            product_distribution([0.5, 0.3, 0.2]), ErrorRates.symmetric(0.01))
+        kept, prob = dist.condition_on(1, 0)
+        assert list(rec) == ["width", "biases", "output_bit", "eps0", "eps1",
+                             "postselect", "accept_prob", "output_bias"]
+        assert rec["accept_prob"] == pytest.approx(prob, abs=1e-15)
+        assert rec["output_bias"] == pytest.approx(kept.marginal_bias(0), abs=1e-15)
+        assert rec["output_bias"] != plain["output_bias"]
 
     def test_builtin_and_file_mutually_exclusive(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from hbcool.bias import (ErrorRates, iterate_to_fixed_point, steady_state_bias,
+from hbcool.bias import (ErrorRates, fibonacci, steady_state_bias,
                          steady_state_bias_noisy, three_bc_bias,
-                         three_bc_bias_unequal, fibonacci_numbers)
+                         three_bc_bias_unequal)
 from hbcool.cooling import (
     RegisterBiases,
     fibonacci_algorithm,
@@ -165,7 +165,7 @@ class TestFibonacciBoundCheck:
         seq = [b_i, b_i]
         for _ in range(13):
             seq.append(steady_state_bias(seq[-2], seq[-1]))
-        fibs = fibonacci_numbers(len(seq))
+        fibs = [fibonacci(j) for j in range(1, len(seq) + 1)]
         for value, f in zip(seq, fibs):
             assert abs(value - b_i * f) / value < 1e-4
 
@@ -218,12 +218,13 @@ class TestFibonacciAlgorithm:
 
 class TestRunWithNoise:
     def test_zero_noise_reproduces_noiseless_run(self):
-        clean = simple_recursive(1e-3, 0.9, mode="exact")
-        noisy = run_with_noise("simple-recursive", 1e-3, 0.9,
-                               ErrorRates.symmetric(0.0), model=SYM_AFTER)
-        assert noisy.final_bias == clean.final_bias  # bit for bit
-        assert [e["biases_after"] for e in noisy.trace] == \
-               [e["biases_after"] for e in clean.trace]
+        for b_i in (1e-3, 1e-13):
+            clean = simple_recursive(b_i, 0.9, mode="exact")
+            noisy = run_with_noise("simple-recursive", b_i, 0.9,
+                                   ErrorRates.symmetric(0.0), model=SYM_AFTER)
+            assert noisy.final_bias == clean.final_bias  # bit for bit
+            assert [e["biases_after"] for e in noisy.trace] == \
+                   [e["biases_after"] for e in clean.trace]
 
     def test_zero_noise_ledgers_match_noiseless_run(self):
         clean = simple_recursive(1e-3, 0.9, mode="exact")
@@ -238,6 +239,35 @@ class TestRunWithNoise:
                 assert json.loads(line)["ledger"] == {
                     "bits_consumed": 3**j, "three_bc_ops": (3**j - 1) // 2,
                     "heat_bath_contacts": 0, "recursion_depth": j}
+
+    def test_zero_noise_fibonacci_ledger_matches_noiseless_run(self):
+        clean = fibonacci_algorithm(1e-3, 0.9, mode="exact")
+        noisy = run_with_noise("fibonacci", 1e-3, 0.9, ErrorRates.symmetric(0.0),
+                               model=SYM_AFTER)
+        assert noisy.ledger == clean.ledger
+        assert clean.ledger.as_dict() == {"bits_consumed": 17, "three_bc_ops": 505,
+                                          "heat_bath_contacts": 1010,
+                                          "recursion_depth": 17}
+        assert noisy.stats["sequence"] == pytest.approx(clean.stats["sequence"], abs=1e-9)
+
+    @pytest.mark.parametrize("algorithm", ["simple-recursive", "fibonacci"])
+    def test_tiny_initial_bias_still_climbs(self, algorithm):
+        # a gain of 5e-14 per step is real progress from b = 1e-13; the stall
+        # test is relative to the bias
+        rates = ErrorRates.symmetric(0.001)
+        result = run_with_noise(algorithm, 1e-13, 0.9, rates, model=SYM_AFTER)
+        assert result.stats["reached_target"]
+        assert 0.9 <= result.final_bias <= blim_sym_after(0.001)
+        if algorithm == "simple-recursive":
+            assert result.stats["steps"] == simple_recursive(1e-13, 0.9).stats["k"] == 75
+        else:
+            assert result.stats["n"] > 80
+
+    def test_near_threshold_run_ends_at_the_limit(self):
+        result = run_with_noise("simple-recursive", 1e-5, 0.9,
+                                ErrorRates.symmetric(0.166), model=SYM_AFTER)
+        assert not result.stats["reached_target"]
+        assert abs(result.final_bias - blim_sym_after(0.166)) < 1e-10
 
     def test_many_levels_keep_the_trace_linear(self):
         # near the sym-after threshold the run takes thousands of levels; each
@@ -299,8 +329,14 @@ class TestRunWithNoise:
     def test_noisy_fixed_point_iteration_oracle(self):
         # the supremum equals the fixed point found by plain iteration
         rates = ErrorRates.from_sd(0.02, 0.01)
-        fixed = iterate_to_fixed_point(
-            lambda b: three_bc_bias(b) * (1 - rates.s) + rates.d, 1e-5, tol=1e-15)
+        b = 1e-5
+        for _ in range(1_000_000):
+            fixed = three_bc_bias(b) * (1 - rates.s) + rates.d
+            if abs(fixed - b) < 1e-15:
+                break
+            b = fixed
+        else:
+            pytest.fail("plain iteration found no fixed point")
         result = run_with_noise("simple-recursive", 1e-5, 1.0, rates, model=ASYM_AFTER)
         assert result.final_bias == pytest.approx(fixed, abs=1e-9)
 

@@ -1,4 +1,5 @@
-"""Golden outputs: every README shell command prints the bytes stored here.
+"""Golden outputs: every README shell command prints the bytes stored here,
+and the README's Python examples pass as a doctest.
 
 Each command runs in-process through `hbcool.cli.main` with the working
 directory set to a fresh temporary directory, so file arguments are the
@@ -6,6 +7,7 @@ README's literal relative paths. The expected stdout of case NAME is the
 file `tests/golden/NAME.out`.
 """
 
+import doctest
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from hbcool.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 # A 2-bit compression circuit for the README's `simulate --circuit` line,
 # which passes two biases.
@@ -60,3 +63,9 @@ def test_readme_command_output(name, capsys, tmp_path, monkeypatch):
     if name in PREREQUISITES:
         _run(capsys, PREREQUISITES[name])
     assert _run(capsys, name) == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_readme_python_examples():
+    failed, attempted = doctest.testfile(str(README), module_relative=False)
+    assert attempted > 0
+    assert failed == 0
