@@ -78,8 +78,13 @@ def _check_targets(b_i: float, b_t: float) -> None:
 
 
 def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
-    return {"step": step, "op": op, "positions": positions,
-            "biases_after": list(biases_after), "ledger": ledger.as_dict()}
+    return {
+        "step": step,
+        "op": op,
+        "positions": positions,
+        "biases_after": list(biases_after),
+        "ledger": ledger.as_dict(),
+    }
 
 
 def _levels_ledger(k: int) -> CostLedger:

@@ -200,14 +200,6 @@ class TestEfficiency:
         assert loose["final_bias"] == want.final_bias
         assert loose["stats"]["steps"] < run_json(capsys, *argv)["stats"]["steps"]
 
-    def test_noisy_run_from_a_tiny_bias(self, capsys):
-        rec = run_json(capsys, "efficiency", "--algorithm", "simple",
-                       "--bi", "1e-13", "--target", "0.9",
-                       "--noise-model", "sym-after", "--eps", "0.001")
-        assert rec["stats"]["steps"] == 75
-        assert rec["stats"]["reached_target"]
-        assert rec["final_bias"] == pytest.approx(0.9129509464183877, abs=1e-12)
-
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
                             "--bi", "0.2", "--target", "0.9", "--trace")
