@@ -81,14 +81,11 @@ from .noise import (
 from .tape import (
     ChainLoop,
     PrimitiveOp,
-    apply_permutation,
-    bring_pair_under_head,
     compile_cooling_step,
     execute,
+    permutation_ops,
     pulse_program_from_text,
     pulse_program_to_text,
-    shift_sequence,
-    swap_adjacent,
 )
 
 __version__ = "0.1.0"

@@ -180,6 +180,8 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     elif args.algorithm == "simple":
         result = cooling.simple_recursive(args.bi, args.target, mode=args.mode)
     elif args.algorithm == "heatbath":
+        if args.mode != "exact":
+            raise ValueError("heatbath runs are exact; --mode approx does not apply")
         result = cooling.heatbath_recursive(args.bi, args.target)
     elif args.algorithm == "fibonacci":
         result = cooling.fibonacci_algorithm(args.bi, args.target, mode=args.mode,
@@ -268,28 +270,29 @@ def _cmd_tape(args) -> tuple[object, str]:
         if args.fixed not in tape.SPECIES:
             raise ValueError("--fixed must be A, B, or C")
         ops = tape.shift_ops(args.fixed)
-        out = tape.execute(loop, ops)
     elif args.action == "swap":
         if args.pos is None:
             raise ValueError("--pos required for swap")
-        ops = tape.swap_adjacent_ops(loop, args.pos)
-        out = tape.execute(loop, ops)
+        n = loop.n_cells
+        if not 0 <= args.pos < n:
+            raise ValueError(f"--pos {args.pos} out of range for {n} cells")
+        q = (args.pos + 1) % n
+        perm = [{args.pos: q, q: args.pos}.get(c, c) for c in range(n)]
+        ops = tape.permutation_ops(args.m, args.head, perm)
     elif args.action == "permute":
         perm = [int(t) for t in (args.perm or "").split(",")]
         ops = tape.permutation_ops(args.m, args.head, perm)
-        out = tape.execute(loop, ops)
     elif args.action == "cool":
         positions = [int(t) for t in (args.positions or "").split(",")]
         ops, _ = tape.compile_cooling_step(loop, positions)
-        out = tape.execute(loop, ops)
         record["positions"] = positions
     elif args.action == "replay":
         if args.program is None:
             raise ValueError("--program FILE required for replay")
         ops = tape.pulse_program_from_text(Path(args.program).read_text())
-        out = tape.execute(loop, ops)
     else:
         raise ValueError(f"unknown action {args.action!r}")
+    out = tape.execute(loop, ops)
     record["pulses"] = len(ops)
     if args.action == "cool":  # the routing is replayed in reverse around the head gates
         head = len(circuits.majority_circuit_toffoli().gates)

@@ -77,6 +77,11 @@ def _check_targets(b_i: float, b_t: float) -> None:
         raise ValueError(f"target bias must be in (b_i, 1), got {b_t!r}")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # also rejects NaN
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
     return {
         "step": step,
@@ -298,6 +303,7 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
     simulating each steady-state loop to tolerance tol for the ledger.
     """
     _check_targets(b_i, b_t)
+    _check_tol(tol)
     if mode == "approx":
         f_prev, f_last = 1, 1
         sequence = [b_i * f_prev, b_i * f_last]
@@ -324,13 +330,10 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
         ledger.three_bc_ops += steps
         ledger.heat_bath_contacts += 2 * steps
         sequence.append((older + newer) / (1.0 + older * newer))
-        j = len(sequence)
+        j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
         trace.append(_trace_entry(j, "steady-state-majority", [j - 2, j - 1, j],
                                   [sequence[-1]], ledger))
-    n = len(sequence)
-    ledger.bits_consumed = n
-    ledger.recursion_depth = n
-    stats = {"mode": mode, "n": n, "sequence": sequence}
+    stats = {"mode": mode, "n": len(sequence), "sequence": sequence}
     return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats, trace=trace)
 
 
@@ -349,6 +352,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
         raise ValueError("need 0 < b_i <= b_t <= 1")
     if model not in limits.MODEL_LABELS:
         raise ValueError(f"unknown model {model!r}")
+    _check_tol(tol)
     if algorithm == "simple-recursive":
         update = limits.make_model(model, rates).update
         b, levels = _climb(update, b_i, b_t, tol, max_steps)
@@ -361,7 +365,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
             raise ValueError("fibonacci schedule supports the after-step models only")
         if model == limits.SYM_AFTER and rates.d != 0.0:
             raise ValueError("sym-after requires a symmetric channel")
-        ledger = CostLedger()
+        ledger = CostLedger(bits_consumed=2, recursion_depth=2)
         trace = []
         sequence = [b_i, b_i]
         steps = 0
@@ -375,10 +379,9 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
             if x - newer <= tol * newer:
                 break
             sequence.append(x)
-            j = len(sequence)
+            j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
             trace.append(_trace_entry(j, "noisy-steady-state", [j - 2, j - 1, j],
                                       [x], ledger))
-        ledger.bits_consumed = ledger.recursion_depth = len(sequence)
         stats = {"algorithm": algorithm, "model": model, "n": len(sequence),
                  "sequence": sequence, "reached_target": sequence[-1] >= b_t}
         return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats,

@@ -10,15 +10,18 @@ gates; everything else moves only through species-parallel swap layers:
     SWAP_AC   swaps every (C_t, A_{t+1}) pair (wraps around the loop)
 
 Composing four layers gives a "shift" that keeps one species fixed and
-moves the other two one triple in opposite directions; all routing is
-built from these shifts plus head-local swaps. Pulse counts are the
-number of primitives issued. A cooling step moves only its operands,
-each by a transposition W + [head swap] + reversed W with its head cell,
-where W keeps that cell and carries the operand onto another head cell:
-at most one masked layer (SWAP_AB or SWAP_BC plus the same head swap:
-two species trade places everywhere but the head), then at most (m-1)/2
-shifts fixing the head cell's species, the shorter way round. That is at
-most 4m + 1 pulses per transposition and 24m + 9 per step."""
+moves the other two one triple in opposite directions. Pulse counts are
+the number of primitives issued. All routing goes through one primitive,
+the head transposition W + [head swap] + reversed W, which exchanges any
+cell with a head cell; W keeps that head cell and carries the other cell
+onto another head cell: at most one masked layer (SWAP_AB or SWAP_BC plus
+the same head swap: two species trade places everywhere but the head),
+then at most (m-1)/2 shifts fixing the head cell's species, the shorter
+way round. That is at most 4m + 1 pulses per transposition. A cooling
+step moves only its three operands, at most 24m + 9 pulses per step. A
+permutation runs cycle by cycle through one head cell: a cycle of L cells
+takes L - 1 transpositions if it passes through that cell and L + 1
+otherwise, so at most 3m + floor(3m/2) transpositions, O(m^2) pulses."""
 
 from __future__ import annotations
 
@@ -28,13 +31,8 @@ from typing import Iterable, Sequence
 from .circuits import Gate, _parse_gate, _format_gate, majority_circuit_toffoli, swap
 
 __all__ = [
-    "SPECIES", "ChainLoop", "PrimitiveOp",
-    "parallel_swap_op", "head_gate_op", "apply_primitive", "execute",
-    "shift_ops", "shift_sequence",
-    "bring_pair_ops", "bring_pair_under_head",
-    "swap_adjacent_ops", "swap_adjacent",
-    "permutation_ops", "apply_permutation",
-    "compile_cooling_step",
+    "SPECIES", "ChainLoop", "PrimitiveOp", "head_gate_op", "execute", "shift_ops",
+    "permutation_ops", "compile_cooling_step",
     "pulse_program_to_text", "pulse_program_from_text",
 ]
 
@@ -73,12 +71,6 @@ class ChainLoop:
     def n_cells(self) -> int:
         return 3 * self.m
 
-    def species_of(self, cell: int) -> str:
-        return SPECIES[cell % 3]
-
-    def triple_of(self, cell: int) -> int:
-        return cell // 3
-
     def head_cell(self, species: int) -> int:
         return 3 * self.head + species
 
@@ -109,16 +101,8 @@ class PrimitiveOp:
 _LAYER_OPS = {layer: PrimitiveOp(layer) for layer in _LAYERS}
 
 
-def parallel_swap_op(pair: str) -> PrimitiveOp:
-    return PrimitiveOp(f"SWAP_{pair}")
-
-
 def head_gate_op(gate: Gate) -> PrimitiveOp:
     return PrimitiveOp("HEAD", gate)
-
-
-def apply_primitive(loop: ChainLoop, op: PrimitiveOp) -> ChainLoop:
-    return execute(loop, [op])
 
 
 def execute(loop: ChainLoop, ops: Iterable[PrimitiveOp]) -> ChainLoop:
@@ -146,84 +130,13 @@ def execute(loop: ChainLoop, ops: Iterable[PrimitiveOp]) -> ChainLoop:
 
 
 def shift_ops(fixed_species: str) -> list[PrimitiveOp]:
-    """The four-layer sequence that leaves one species' bits in place."""
+    """The four-layer sequence that leaves one species' bits in place. With
+    B fixed, A bits move one triple counterclockwise (toward lower triple
+    index) and C bits one triple clockwise; _SHIFTS gives the other two."""
     if fixed_species not in _SHIFTS:
         raise ValueError(f"fixed species must be one of {SPECIES}, got {fixed_species!r}")
     layers, _, _ = _SHIFTS[fixed_species]
     return [_LAYER_OPS[layer] for layer in layers]
-
-
-def shift_sequence(loop: ChainLoop, fixed_species: str) -> ChainLoop:
-    """Apply one shift: with B fixed, A bits move one triple counterclockwise
-    (toward lower triple index) and C bits one triple clockwise; the other
-    two choices permute the roles accordingly."""
-    return execute(loop, shift_ops(fixed_species))
-
-
-def bring_pair_ops(loop: ChainLoop, pos1: int, pos2: int) -> list[PrimitiveOp]:
-    """Shift program landing two adjacent bits on their head cells.
-
-    Each bit keeps its species under shifts, so the pair ends on the
-    same-species cells of the head triple."""
-    n = loop.n_cells
-    if (pos2 - pos1) % n == 1:
-        p, q = pos1, pos2
-    elif (pos1 - pos2) % n == 1:
-        p, q = pos2, pos1
-    else:
-        raise ValueError(f"cells {pos1} and {pos2} are not adjacent on the loop")
-    h, m = loop.head, loop.m
-    t, sp = divmod(p, 3)
-    # (A_t, B_t): move A ccw to the head with B fixed, then B cw with A fixed;
-    # (B_t, C_t) and (C_t, A_{t+1}) likewise with the species rotated
-    first, second = {0: ("B", "A"), 1: ("C", "B"), 2: ("A", "C")}[sp]
-    return shift_ops(first) * ((t - h) % m) + shift_ops(second) * ((h - t - (sp == 2)) % m)
-
-
-def bring_pair_under_head(loop: ChainLoop, pos1: int, pos2: int) -> tuple[ChainLoop, int]:
-    ops = bring_pair_ops(loop, pos1, pos2)
-    return execute(loop, ops), len(ops)
-
-
-def swap_adjacent_ops(loop: ChainLoop, pos: int) -> list[PrimitiveOp]:
-    """Program for a single transposition of pos with its clockwise neighbor:
-    shuttle the pair to the head, swap there, and replay the shuttle in
-    reverse (every primitive is an involution, so that is its inverse)."""
-    if not (0 <= pos < loop.n_cells):
-        raise ValueError(f"cell {pos} out of range")
-    q = (pos + 1) % loop.n_cells
-    shuttle = bring_pair_ops(loop, pos, q)
-    head_swap = head_gate_op(swap(pos % 3, q % 3))
-    return shuttle + [head_swap] + shuttle[::-1]
-
-
-def swap_adjacent(loop: ChainLoop, pos: int) -> tuple[ChainLoop, int]:
-    ops = swap_adjacent_ops(loop, pos)
-    return execute(loop, ops), len(ops)
-
-
-def permutation_ops(m: int, head: int, perm: Sequence[int]) -> list[PrimitiveOp]:
-    """Compile a destination map (bit at cell i moves to cell perm[i]) into
-    adjacent transpositions, bubble-sort style, each realized at the head."""
-    n = 3 * m
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a bijection on all cell indices")
-    geometry = ChainLoop(m, (0,) * n, head)
-    inverse = sorted(range(n), key=lambda src: perm[src])  # inverse[dst] = src
-    current = list(range(n))  # current[cell] = original index of the bit there
-    ops: list[PrimitiveOp] = []
-    for cell in range(n):
-        i = current.index(inverse[cell], cell)
-        while i > cell:
-            ops.extend(swap_adjacent_ops(geometry, i - 1))
-            current[i - 1], current[i] = current[i], current[i - 1]
-            i -= 1
-    return ops
-
-
-def apply_permutation(loop: ChainLoop, perm: Sequence[int]) -> tuple[ChainLoop, int]:
-    ops = permutation_ops(loop.m, loop.head, perm)
-    return execute(loop, ops), len(ops)
 
 
 def _head_transposition_ops(m: int, head: int, cell: int, species: int) -> list[PrimitiveOp]:
@@ -238,6 +151,38 @@ def _head_transposition_ops(m: int, head: int, cell: int, species: int) -> list[
         forward = (steps <= m // 2) == (SPECIES[s] == _SHIFTS[SPECIES[species]][2])
         carry += shift_ops(SPECIES[species])[::1 if forward else -1] * min(steps, m - steps)
     return carry + [head_gate_op(swap(*sorted((s, species))))] + carry[::-1]
+
+
+def permutation_ops(m: int, head: int, perm: Sequence[int]) -> list[PrimitiveOp]:
+    """Compile a destination map (bit at cell i moves to cell perm[i]) cycle
+    by cycle, each through the head cell that gives the shortest program."""
+    n = 3 * m
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a bijection on all cell indices")
+    ops: list[PrimitiveOp] = []
+    seen = [False] * n
+    for start in range(n):
+        cycle, cell = [], start
+        while not seen[cell]:
+            seen[cell] = True
+            cycle.append(cell)
+            cell = perm[cell]
+        if len(cycle) > 1:
+            ops += min((_cycle_ops(m, head, cycle, s) for s in range(3)), key=len)
+    return ops
+
+
+def _cycle_ops(m: int, head: int, cycle: list[int], species: int) -> list[PrimitiveOp]:
+    """Rotate the bits of `cycle` one place along it by successive head
+    transpositions with one head cell: L - 1 of them if that cell is on the
+    cycle, else L + 1 (its own bit goes out first and comes back last)."""
+    pivot = 3 * head + species
+    if pivot in cycle:
+        k = cycle.index(pivot)
+        order = cycle[k + 1:] + cycle[:k]
+    else:
+        order = cycle + cycle[:1]
+    return [op for cell in order for op in _head_transposition_ops(m, head, cell, species)]
 
 
 def compile_cooling_step(loop: ChainLoop, positions: Sequence[int]) -> tuple[list[PrimitiveOp], int]:

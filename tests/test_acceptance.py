@@ -156,20 +156,21 @@ def test_criterion_08_circuit_equivalences():
 
 def test_criterion_09_tape_machine():
     """Shift geometry, exact transpositions, compiled majority; < 5 s."""
-    from hbcool.tape import ChainLoop, compile_cooling_step, execute, shift_sequence, swap_adjacent
+    from hbcool.tape import ChainLoop, compile_cooling_step, execute, permutation_ops, shift_ops
 
     def run():
         m = 3
         for bits in product((0, 1), repeat=9):
             loop = ChainLoop(m, bits)
-            shifted = shift_sequence(loop, "B")
+            shifted = execute(loop, shift_ops("B"))
             for t in range(m):
                 assert shifted.bits[3 * ((t - 1) % m)] == bits[3 * t]          # A ccw
                 assert shifted.bits[3 * ((t + 1) % m) + 2] == bits[3 * t + 2]  # C cw
                 assert shifted.bits[3 * t + 1] == bits[3 * t + 1]              # B fixed
             for pos in range(9):
-                swapped, _ = swap_adjacent(loop, pos)
                 q = (pos + 1) % 9
+                perm = [{pos: q, q: pos}.get(c, c) for c in range(9)]
+                swapped = execute(loop, permutation_ops(m, 0, perm))
                 want = list(bits)
                 want[pos], want[q] = want[q], want[pos]
                 assert list(swapped.bits) == want

@@ -200,6 +200,21 @@ class TestEfficiency:
         assert loose["final_bias"] == want.final_bias
         assert loose["stats"]["steps"] < run_json(capsys, *argv)["stats"]["steps"]
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("noise", [(), ("--noise-model", "sym-after", "--eps", "0.01")],
+                             ids=["noiseless", "noisy"])
+    def test_fibonacci_rejects_nonpositive_tol(self, capsys, tol, noise):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci", "--bi", "0.1",
+                            "--target", "0.5", "--tol", tol, *noise)
+        assert code == 1
+        assert "tol must be positive" in json.loads(out)["error"]
+
+    def test_heatbath_rejects_approx_mode(self, capsys):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "heatbath",
+                            "--bi", "1e-5", "--target", "0.9999", "--mode", "approx")
+        assert code == 1
+        assert "--mode approx" in json.loads(out)["error"]
+
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
                             "--bi", "0.2", "--target", "0.9", "--trace")
@@ -307,6 +322,28 @@ class TestTape:
                        "--action", "shift", "--fixed", "B")
         assert rec["bits_out"] == "000000100"  # A bit moved one triple ccw
         assert rec["pulses"] == 4
+
+    @pytest.mark.parametrize("pos, bits_in, bits_out", [
+        (0, "100000000", "010000000"), (4, "000010000", "000001000"),
+        (8, "000000001", "100000000")])
+    def test_swap(self, capsys, pos, bits_in, bits_out):
+        rec = run_json(capsys, "tape", "--m", "3", "--head", "1", "--bits", bits_in,
+                       "--action", "swap", "--pos", str(pos))
+        assert rec["bits_out"] == bits_out
+        assert 0 < rec["pulses"] <= 3 * (4 * 3 + 1)
+
+    @pytest.mark.parametrize("pos", ["-1", "9"])
+    def test_swap_position_out_of_range(self, capsys, pos):
+        code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",
+                            "--action", "swap", "--pos", pos)
+        assert code == 1
+        assert "out of range" in json.loads(out)["error"]
+
+    def test_permute_rejects_non_bijection(self, capsys):
+        code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",
+                            "--action", "permute", "--perm", "0,0,1,2,3,4,5,6,7")
+        assert code == 1
+        assert "bijection" in json.loads(out)["error"]
 
     def test_cool_and_replay_round_trip(self, capsys, tmp_path):
         program = tmp_path / "pulses.txt"

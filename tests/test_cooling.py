@@ -215,6 +215,25 @@ class TestFibonacciAlgorithm:
         assert set(first) == {"step", "op", "positions", "biases_after", "ledger"}
         assert first["positions"] == [1, 2, 3]
 
+    def test_trace_ledgers_count_the_register_so_far(self):
+        clean = fibonacci_algorithm(0.2, 0.9, mode="exact")
+        noisy = run_with_noise("fibonacci", 0.2, 0.9, ErrorRates.symmetric(0.001),
+                               model=SYM_AFTER)
+        for result in (clean, noisy):
+            for entry in result.trace:
+                ledger = entry["ledger"]
+                assert ledger["bits_consumed"] == ledger["recursion_depth"] == entry["step"]
+            assert result.trace[-1]["ledger"] == result.ledger.as_dict()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fibonacci_algorithm(0.1, 0.5, mode="exact", tol=tol)
+        for algorithm in ("simple-recursive", "fibonacci"):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                run_with_noise(algorithm, 0.1, 0.5, ErrorRates.symmetric(0.01),
+                               model=SYM_AFTER, tol=tol)
+
 
 class TestRunWithNoise:
     def test_zero_noise_reproduces_noiseless_run(self):

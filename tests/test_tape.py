@@ -7,22 +7,16 @@ import pytest
 
 from hbcool.circuits import cnot, majority_circuit_toffoli, swap, toffoli
 from hbcool.tape import (
+    SPECIES,
     ChainLoop,
     PrimitiveOp,
-    apply_permutation,
-    apply_primitive,
-    bring_pair_under_head,
     compile_cooling_step,
     execute,
     head_gate_op,
-    parallel_swap_op,
     permutation_ops,
     pulse_program_from_text,
     pulse_program_to_text,
     shift_ops,
-    shift_sequence,
-    swap_adjacent,
-    swap_adjacent_ops,
 )
 
 
@@ -41,6 +35,28 @@ def majority(v):
     return 1 if sum(v) >= 2 else 0
 
 
+def adjacent_swap_ops(m, pos, head=0):
+    """Program for the transposition of cell pos with its clockwise neighbour."""
+    n = 3 * m
+    q = (pos + 1) % n
+    return permutation_ops(m, head, [{pos: q, q: pos}.get(c, c) for c in range(n)])
+
+
+def permuted(bits, perm):
+    want = [0] * len(bits)
+    for src, dst in enumerate(perm):
+        want[dst] = bits[src]
+    return want
+
+
+def transposition_bound(m):
+    return 4 * m + 1
+
+
+def permute_bound(m):
+    return (3 * m + 3 * m // 2) * transposition_bound(m)  # 7,990 at m = 21
+
+
 class TestChainLoop:
     def test_even_triple_count_rejected(self):
         with pytest.raises(ValueError):
@@ -55,22 +71,23 @@ class TestChainLoop:
             ChainLoop(3, (0,) * 9, head=3)
 
     def test_species_layout(self):
-        loop = ChainLoop(3, (0,) * 9)
-        assert [loop.species_of(c) for c in range(6)] == ["A", "B", "C", "A", "B", "C"]
+        loop = ChainLoop(3, (0,) * 9, head=1)
+        assert SPECIES == ("A", "B", "C")
+        assert [loop.head_cell(s) for s in range(3)] == [3, 4, 5]
 
 
 class TestShiftSequences:
     def test_fixed_b_moves_a_ccw_c_cw(self):
         # A bits (a0, a1, a2) read (a1, a2, a0) after one fixed-B shift
         loop = loop_with(3, {0: 1, 2: 1})  # a0 = 1, c0 = 1
-        out = shift_sequence(loop, "B")
+        out = execute(loop, shift_ops("B"))
         # a0 moved to triple 2 (counterclockwise), c0 to triple 1 (clockwise)
         assert species_bits(out, 0) == [0, 0, 1]
         assert species_bits(out, 2) == [0, 1, 0]
 
     def test_fixed_b_leaves_b_bits(self):
         loop = loop_with(3, {1: 1, 4: 1})
-        out = shift_sequence(loop, "B")
+        out = execute(loop, shift_ops("B"))
         assert species_bits(out, 1) == species_bits(loop, 1)
 
     @pytest.mark.parametrize("fixed, moved_ccw, moved_cw", [
@@ -79,7 +96,7 @@ class TestShiftSequences:
         m = 3
         for bits in product((0, 1), repeat=9):
             loop = ChainLoop(m, bits)
-            out = shift_sequence(loop, fixed)
+            out = execute(loop, shift_ops(fixed))
             for t in range(m):
                 val = bits[3 * t + moved_ccw]
                 assert out.bits[3 * ((t - 1) % m) + moved_ccw] == val
@@ -96,57 +113,20 @@ class TestShiftSequences:
         loop = ChainLoop(m, bits)
         cur = loop
         for _ in range(m):
-            cur = shift_sequence(cur, fixed)
+            cur = execute(cur, shift_ops(fixed))
         assert cur.bits == loop.bits
 
     def test_each_shift_is_four_pulses(self):
         assert len(shift_ops("B")) == 4
 
 
-class TestBringPairUnderHead:
-    def test_pair_already_under_head(self):
-        loop = loop_with(5, {1: 1, 2: 1})
-        out, pulses = bring_pair_under_head(loop, 1, 2)
-        assert pulses == 0
-        assert out.bits == loop.bits
-
-    def test_bc_pair_two_triples_away(self):
-        m = 5
-        loop = loop_with(m, {3 * 2 + 1: 1, 3 * 2 + 2: 1})  # B2 and C2 hold ones
-        out, pulses = bring_pair_under_head(loop, 7, 8)
-        assert out.bits[out.head_cell(1)] == 1
-        assert out.bits[out.head_cell(2)] == 1
-        assert pulses > 0
-
-    def test_every_adjacent_pair_reaches_head(self):
-        m = 5
-        for p in range(3 * m):
-            q = (p + 1) % (3 * m)
-            loop = loop_with(m, {p: 1, q: 1})
-            out, _ = bring_pair_under_head(loop, p, q)
-            assert out.bits[out.head_cell(p % 3)] == 1
-            assert out.bits[out.head_cell(q % 3)] == 1
-
-    def test_argument_order_irrelevant(self):
-        m = 5
-        loop = loop_with(m, {10: 1, 11: 1})
-        a, _ = bring_pair_under_head(loop, 10, 11)
-        b, _ = bring_pair_under_head(loop, 11, 10)
-        assert a.bits == b.bits
-
-    def test_non_adjacent_rejected(self):
-        loop = ChainLoop(5, (0,) * 15)
-        with pytest.raises(ValueError):
-            bring_pair_under_head(loop, 0, 2)
-
-
 class TestSwapAdjacent:
     def test_exact_transposition_all_assignments_m3(self):
-        for bits in product((0, 1), repeat=9):
-            loop = ChainLoop(3, bits)
-            for pos in range(9):
-                out, _ = swap_adjacent(loop, pos)
-                q = (pos + 1) % 9
+        for pos in range(9):
+            ops = adjacent_swap_ops(3, pos)
+            q = (pos + 1) % 9
+            for bits in product((0, 1), repeat=9):
+                out = execute(ChainLoop(3, bits), ops)
                 want = list(bits)
                 want[pos], want[q] = want[q], want[pos]
                 assert list(out.bits) == want
@@ -156,8 +136,8 @@ class TestSwapAdjacent:
         rng = random.Random(m)
         for _ in range(60):
             bits = tuple(rng.randint(0, 1) for _ in range(3 * m))
-            pos = rng.randrange(3 * m)
-            out, _ = swap_adjacent(ChainLoop(m, bits), pos)
+            pos, head = rng.randrange(3 * m), rng.randrange(m)
+            out = execute(ChainLoop(m, bits, head), adjacent_swap_ops(m, pos, head))
             q = (pos + 1) % (3 * m)
             want = list(bits)
             want[pos], want[q] = want[q], want[pos]
@@ -165,29 +145,23 @@ class TestSwapAdjacent:
 
     def test_involution(self):
         loop = ChainLoop(3, (1, 0, 1, 1, 0, 0, 1, 1, 0))
-        once, _ = swap_adjacent(loop, 4)
-        twice, _ = swap_adjacent(once, 4)
-        assert twice.bits == loop.bits
+        ops = adjacent_swap_ops(3, 4)
+        assert execute(execute(loop, ops), ops).bits == loop.bits
 
     def test_pulse_count_recorded(self):
-        loop = ChainLoop(5, (0,) * 15)
-        _, pulses = swap_adjacent(loop, 7)
-        assert pulses > 0
-        assert pulses == len(swap_adjacent_ops(loop, 7))
+        # no head cell in the pair: three transpositions through a head cell
+        assert 0 < len(adjacent_swap_ops(5, 7)) <= 3 * transposition_bound(5)
 
 
 class TestApplyPermutation:
     def test_identity_costs_nothing(self):
-        loop = ChainLoop(3, (1, 0, 1, 0, 0, 1, 1, 1, 0))
-        out, pulses = apply_permutation(loop, list(range(9)))
-        assert pulses == 0
-        assert out.bits == loop.bits
+        assert permutation_ops(3, 0, list(range(9))) == []
 
     def test_full_reversal(self):
         bits = (1, 0, 1, 0, 0, 1, 1, 1, 0)
         loop = ChainLoop(3, bits)
         perm = [8 - i for i in range(9)]
-        out, _ = apply_permutation(loop, perm)
+        out = execute(loop, permutation_ops(3, 0, perm))
         assert out.bits == bits[::-1]
 
     def test_random_permutations(self):
@@ -197,16 +171,56 @@ class TestApplyPermutation:
             bits = tuple(rng.randint(0, 1) for _ in range(3 * m))
             perm = list(range(3 * m))
             rng.shuffle(perm)
-            out, _ = apply_permutation(ChainLoop(m, bits), perm)
-            want = [0] * (3 * m)
-            for src, dst in enumerate(perm):
-                want[dst] = bits[src]
-            assert list(out.bits) == want
+            out = execute(ChainLoop(m, bits), permutation_ops(m, 0, perm))
+            assert list(out.bits) == permuted(bits, perm)
 
     def test_invalid_permutation(self):
-        loop = ChainLoop(3, (0,) * 9)
-        with pytest.raises(ValueError):
-            apply_permutation(loop, [0] * 9)
+        with pytest.raises(ValueError, match="bijection"):
+            permutation_ops(3, 0, [0] * 9)
+
+
+class TestPermutationOps:
+    @pytest.mark.parametrize("perm", list(permutations(range(3))))
+    def test_every_permutation_m1(self, perm):
+        ops = permutation_ops(1, 0, perm)
+        for bits in product((0, 1), repeat=3):
+            assert list(execute(ChainLoop(1, bits), ops).bits) == permuted(bits, perm)
+        assert len(ops) <= permute_bound(1)
+
+    @pytest.mark.parametrize("m, trials", [(3, 40), (5, 30), (9, 10), (21, 3)])
+    def test_one_hot_random(self, m, trials):
+        n = 3 * m
+        rng = random.Random(2000 + m)
+        for _ in range(trials):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            head = rng.randrange(m)
+            ops = permutation_ops(m, head, perm)
+            for src in range(n):
+                out = execute(loop_with(m, {src: 1}, head), ops)
+                assert out.bits == loop_with(m, {perm[src]: 1}).bits, (m, head, perm, src)
+            assert len(ops) <= permute_bound(m)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 21])
+    def test_adjacent_swap_bound_every_head(self, m):
+        for head in range(m):
+            for pos in range(3 * m):
+                assert len(adjacent_swap_ops(m, pos, head)) <= 3 * transposition_bound(m)
+
+    def test_swap_with_a_head_cell_is_one_transposition(self):
+        m, head = 9, 4
+        for species in range(3):
+            pos = 3 * head + species
+            assert len(adjacent_swap_ops(m, pos, head)) <= transposition_bound(m)
+
+    @pytest.mark.parametrize("m", [3, 21])
+    def test_reversal_within_bound(self, m):
+        n = 3 * m
+        perm = list(range(n))[::-1]
+        ops = permutation_ops(m, 0, perm)
+        assert len(ops) <= permute_bound(m)
+        bits = tuple(random.Random(m).getrandbits(1) for _ in range(n))
+        assert execute(ChainLoop(m, bits), ops).bits == bits[::-1]
 
 
 class TestCompileCoolingStep:
@@ -300,7 +314,7 @@ class TestPulsePrograms:
         assert replayed.bits == direct.bits
 
     def test_text_shape(self):
-        ops = [parallel_swap_op("AB"), head_gate_op(cnot(0, 1))]
+        ops = [PrimitiveOp("SWAP_AB"), head_gate_op(cnot(0, 1))]
         text = pulse_program_to_text(ops)
         assert text == "SWAP_AB\nHEAD CNOT 1 0:1\n"
 
@@ -339,7 +353,7 @@ def random_program(rng, length):
         if rng.random() < 0.25:
             ops.append(head_gate_op(rng.choice(gates)))
         else:
-            ops.append(parallel_swap_op(rng.choice(("AB", "BC", "AC"))))
+            ops.append(PrimitiveOp(rng.choice(("SWAP_AB", "SWAP_BC", "SWAP_AC"))))
     return ops
 
 
@@ -357,20 +371,14 @@ class TestBitmaskExecute:
     def test_swap_ac_wraps_last_c_onto_first_a(self, m):
         n = 3 * m
         loop = loop_with(m, {n - 1: 1})
-        out = execute(loop, [parallel_swap_op("AC")])
+        out = execute(loop, [PrimitiveOp("SWAP_AC")])
         assert out.bits == loop_with(m, {0: 1}).bits
-        assert list(out.bits) == reference_execute(loop, [parallel_swap_op("AC")])
+        assert list(out.bits) == reference_execute(loop, [PrimitiveOp("SWAP_AC")])
 
     def test_head_gate_at_nonzero_head(self):
         loop = loop_with(5, {9: 1}, head=3)  # A cell of the head triple
         out = execute(loop, [head_gate_op(cnot(0, 2))])
         assert out.bits == loop_with(5, {9: 1, 11: 1}).bits
-
-    def test_apply_primitive_is_one_step_execute(self):
-        rng = random.Random(8)
-        loop = ChainLoop(5, tuple(rng.getrandbits(1) for _ in range(15)), head=4)
-        for op in random_program(rng, 20):
-            assert list(apply_primitive(loop, op).bits) == reference_execute(loop, [op])
 
 
 def check_routed_step(m, head, positions, rng):
