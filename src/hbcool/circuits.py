@@ -1,9 +1,12 @@
 """Classical reversible gates, circuits, and exact distribution propagation.
 
 Gates act as permutations of basis states; every supported gate is an
-involution. Circuits may carry designated noise sites, given as pairs
-(pos, bit) meaning "a bit-flip may occur on `bit` after the first `pos`
-gates have been applied" (pos ranges 0..len(gates)).
+involution. On a register viewed as an array of shape (2,) * n, where
+axis n-1-k is bit k, a gate exchanges two slices inside its control
+slice: NOT, CNOT and TOFFOLI exchange target = 0 with target = 1, SWAP
+and CSWAP exchange (a=0, b=1) with (a=1, b=0). Circuits may carry noise
+sites, pairs (pos, bit) meaning "a bit-flip may occur on `bit` after
+the first `pos` gates have been applied" (pos ranges 0..len(gates)).
 
 Circuits serialize to a line-oriented text format, one gate per line:
 
@@ -23,15 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .bias import ErrorRates
 from .distribution import JointDistribution
 
 __all__ = [
     "Gate", "Circuit",
     "not_gate", "cnot", "toffoli", "gtoffoli", "swap", "cswap",
-    "apply_gate", "gate_permutation",
+    "apply_gate",
     "majority_circuit_toffoli", "majority_circuit_cswap",
     "two_bc_circuit", "two_bc_sort_circuit", "cnot_cswap_majority",
     "circuit_to_text", "circuit_from_text",
@@ -43,8 +44,6 @@ TOFFOLI = "TOFFOLI"
 SWAP = "SWAP"
 CSWAP = "CSWAP"
 
-_FLIP_KINDS = (NOT, CNOT, TOFFOLI)
-_SWAP_KINDS = (SWAP, CSWAP)
 _ARITY = {NOT: (1, 0), CNOT: (1, 1), TOFFOLI: (1, 2), SWAP: (2, 0), CSWAP: (2, 1)}
 
 
@@ -80,7 +79,7 @@ class Gate:
         for bit, val in self.controls:
             if (x >> bit) & 1 != val:
                 return x
-        if self.kind in _FLIP_KINDS:
+        if len(self.targets) == 1:  # NOT, CNOT, TOFFOLI
             return x ^ (1 << self.targets[0])
         a, b = self.targets
         if (x >> a) & 1 != (x >> b) & 1:
@@ -113,29 +112,21 @@ def cswap(a: int, b: int, control: int, value: int = 1) -> Gate:
     return Gate(CSWAP, (a, b), ((control, value),))
 
 
-def gate_permutation(gate: Gate, width: int) -> np.ndarray:
-    """Basis-state permutation array: perm[x] = gate(x)."""
-    if gate.max_index >= width:
-        raise ValueError(f"gate touches bit {gate.max_index}, register width {width}")
-    states = np.arange(1 << width)
-    ok = np.ones(states.size, dtype=bool)
-    for bit, val in gate.controls:
-        ok &= ((states >> bit) & 1) == val
-    if gate.kind in _FLIP_KINDS:
-        images = states ^ (1 << gate.targets[0])
-    else:
-        a, b = gate.targets
-        differ = ((states >> a) & 1) ^ ((states >> b) & 1)
-        images = states ^ ((differ << a) | (differ << b))
-    return np.where(ok, images, states)
-
-
 def apply_gate(dist: JointDistribution, gate: Gate) -> JointDistribution:
     """Push a distribution through a gate; total probability is preserved."""
-    perm = gate_permutation(gate, dist.width)
-    out = np.empty_like(dist.probs)
-    out[perm] = dist.probs
-    return JointDistribution(out, validate=False)
+    n = dist.width
+    if gate.max_index >= n:
+        raise ValueError(f"gate touches bit {gate.max_index}, register width {n}")
+    lo: list = [slice(None)] * n
+    for bit, val in gate.controls:
+        lo[n - 1 - bit] = val
+    hi = list(lo)
+    for k, bit in enumerate(gate.targets):
+        lo[n - 1 - bit], hi[n - 1 - bit] = (1, 0) if k else (0, 1)
+    src = dist.probs.reshape((2,) * n)
+    out = src.copy()
+    out[tuple(lo)], out[tuple(hi)] = src[tuple(hi)], src[tuple(lo)]
+    return JointDistribution(out.reshape(-1), validate=False)
 
 
 @dataclass(frozen=True)

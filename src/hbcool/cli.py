@@ -59,6 +59,17 @@ def _parse_rates(args, required: bool = True) -> ErrorRates | None:
     return None
 
 
+_RATE_FLAGS = ("eps", "eps0", "eps1", "s", "d")
+
+
+def _reject_flags(args, names, context: str) -> None:
+    """Raise if any of the named flags was given: they would be ignored."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} "
+                         f"not apply {context}")
+
+
 def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, help="symmetric flip rate")
     p.add_argument("--eps0", type=float, help="0 -> 1 flip rate")
@@ -159,6 +170,8 @@ def _cmd_table(args) -> tuple[object, str]:
 
 def _cmd_efficiency(args) -> tuple[object, str]:
     if args.algorithm == "bound-fuzz":
+        _reject_flags(args, ("bi", "target", "tol", "noise_model") + _RATE_FLAGS,
+                      "to bound-fuzz")
         report = cooling.random_hb_trace_check(
             trials=args.trials, max_bits=args.max_bits, seed=args.seed,
             max_ops=args.max_ops)
@@ -167,6 +180,9 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     if args.bi is None or args.target is None:
         raise ValueError("--bi and --target are required")
     rates = _parse_rates(args, required=False)
+    tol = 1e-12 if args.tol is None else args.tol
+    if args.noise_model is None and args.algorithm in ("simple", "heatbath"):
+        _reject_flags(args, ("tol",), f"to the noiseless {args.algorithm} schedule")
     if args.noise_model is not None:
         if rates is None:
             raise ValueError("--noise-model requires error rates")
@@ -176,7 +192,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
         if name is None:
             raise ValueError(f"noisy runs support simple/fibonacci, not {args.algorithm!r}")
         result = cooling.run_with_noise(name, args.bi, args.target, rates,
-                                        model=args.noise_model, tol=args.tol)
+                                        model=args.noise_model, tol=tol)
     elif args.algorithm == "simple":
         result = cooling.simple_recursive(args.bi, args.target, mode=args.mode)
     elif args.algorithm == "heatbath":
@@ -184,8 +200,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
             raise ValueError("heatbath runs are exact; --mode approx does not apply")
         result = cooling.heatbath_recursive(args.bi, args.target)
     elif args.algorithm == "fibonacci":
-        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=args.mode,
-                                             tol=args.tol)
+        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=args.mode, tol=tol)
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
     if args.trace:
@@ -207,6 +222,11 @@ def _cmd_efficiency(args) -> tuple[object, str]:
 def _cmd_simulate(args) -> tuple[object, str]:
     if (args.circuit is None) == (args.builtin is None):
         raise ValueError("give exactly one of --circuit FILE or --builtin NAME")
+    if args.state is not None:
+        _reject_flags(args, ("bias", "biases", "postselect", "output_bit") + _RATE_FLAGS,
+                      "to a --state run")
+    if args.bias is not None and args.biases is not None:
+        raise ValueError("give --bias or --biases, not both")
     if args.builtin is not None:
         builders = {
             "majority-toffoli": circuits.majority_circuit_toffoli,
@@ -241,7 +261,8 @@ def _cmd_simulate(args) -> tuple[object, str]:
         raise ValueError("give --state, --bias, or --biases")
 
     rates = _parse_rates(args, required=False)
-    record = {"width": circuit.width, "biases": biases, "output_bit": args.output_bit}
+    output_bit = 0 if args.output_bit is None else args.output_bit
+    record = {"width": circuit.width, "biases": biases, "output_bit": output_bit}
     if rates is not None:
         if not circuit.noise_sites:
             raise ValueError("circuit has no noise sites; rates are meaningless")
@@ -254,13 +275,20 @@ def _cmd_simulate(args) -> tuple[object, str]:
         dist, prob = dist.condition_on(int(bit_txt), int(val_txt))
         record["postselect"] = args.postselect
         record["accept_prob"] = prob
-    record["output_bias"] = dist.marginal_bias(args.output_bit)
+    record["output_bias"] = dist.marginal_bias(output_bit)
     if rates is None:
         record["marginals"] = [dist.marginal_bias(i) for i in range(circuit.width)]
-    return record, f"output bias (bit {args.output_bit}): {_fmt_float(record['output_bias'])}"
+    return record, f"output bias (bit {output_bit}): {_fmt_float(record['output_bias'])}"
+
+
+# the flag each tape action reads, beyond --m, --head, --bits and --dump
+_TAPE_ACTION_FLAGS = {"shift": "fixed", "swap": "pos", "permute": "perm",
+                      "cool": "positions", "replay": "program"}
 
 
 def _cmd_tape(args) -> tuple[object, str]:
+    _reject_flags(args, [flag for action, flag in _TAPE_ACTION_FLAGS.items()
+                         if action != args.action], f"to --action {args.action}")
     bits = _parse_bit_string(args.bits)
     if len(bits) != 3 * args.m:
         raise ValueError(f"--bits needs {3 * args.m} cells for m={args.m}")
@@ -354,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bi", type=float, help="initial (bath) bias")
     p.add_argument("--target", type=float, help="target bias")
     p.add_argument("--mode", choices=("approx", "exact"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, help="convergence tolerance (default 1e-12)")
     p.add_argument("--trace", action="store_true", help="emit the JSONL step trace")
     p.add_argument("--noise-model", choices=limits.MODEL_LABELS)
     p.add_argument("--trials", type=int, default=10000)
@@ -371,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=str, help="basis input, char i = bit i")
     p.add_argument("--bias", type=float, help="same bias on every input bit")
     p.add_argument("--biases", type=str, help="comma-separated per-bit biases")
-    p.add_argument("--output-bit", type=int, default=0)
+    p.add_argument("--output-bit", type=int, help="bit whose bias is reported (default 0)")
     p.add_argument("--postselect", type=str, metavar="BIT=VAL")
     _add_rate_flags(p)
     add_format(p)

@@ -3,6 +3,11 @@
 A register of n bits (n <= 20) is represented by the full vector of
 2^n basis-state probabilities. Bit 0 is the least significant bit of
 the state index; this ordering is fixed throughout the package.
+
+Single-bit kernels use the (high, bit, low) view `probs.reshape(-1, 2,
+2**bit)`, whose axis 1 is the chosen bit. A marginal sums a contiguous
+copy of one half, in index order; the bit-flip channel mixes the two
+halves; postselection keeps one. No kernel builds an index array.
 """
 
 from __future__ import annotations
@@ -43,16 +48,18 @@ class JointDistribution:
     def copy(self) -> "JointDistribution":
         return JointDistribution(self.probs.copy(), validate=False)
 
-    def _check_bit(self, bit: int) -> None:
+    def _split(self, bit: int, value: int = 0) -> np.ndarray:
+        """The (high, bit, low) view of `probs`; axis 1 is the chosen bit."""
         if not (0 <= bit < self.width):
             raise ValueError(f"bit index {bit} out of range for width {self.width}")
+        if value not in (0, 1):
+            raise ValueError(f"bit value must be 0 or 1, got {value!r}")
+        return self.probs.reshape(-1, 2, 1 << bit)
 
     def prob_bit_is(self, bit: int, value: int) -> float:
-        """Marginal probability that the given bit reads `value`."""
-        self._check_bit(bit)
-        states = np.arange(self.probs.size)
-        mask = ((states >> bit) & 1) == (value & 1)
-        return float(self.probs[mask].sum())
+        """Marginal probability that the given bit reads `value` (0 or 1)."""
+        half = self._split(bit, value)[:, int(value)]
+        return float(np.ascontiguousarray(half).sum())
 
     def marginal_bias(self, bit: int) -> float:
         """2 * P(bit = 0) - 1."""
@@ -64,23 +71,23 @@ class JointDistribution:
         Mass with bit = 0 leaks to bit = 1 at rate eps0 and vice versa at
         eps1; total probability is preserved exactly.
         """
-        self._check_bit(bit)
-        states = np.arange(self.probs.size)
-        flipped = self.probs[states ^ (1 << bit)]
-        bit_is_zero = ((states >> bit) & 1) == 0
-        stay = np.where(bit_is_zero, 1.0 - rates.eps0, 1.0 - rates.eps1)
-        arrive = np.where(bit_is_zero, rates.eps1, rates.eps0)
-        return JointDistribution(self.probs * stay + flipped * arrive, validate=False)
+        view = self._split(bit)
+        out = np.empty_like(self.probs)
+        mixed, arrived = out.reshape(view.shape), np.empty(view.shape[::2])
+        for v, leave, enter in ((0, rates.eps0, rates.eps1), (1, rates.eps1, rates.eps0)):
+            np.multiply(view[:, v], 1.0 - leave, out=mixed[:, v])
+            np.multiply(view[:, 1 - v], enter, out=arrived)
+            mixed[:, v] += arrived
+        return JointDistribution(out, validate=False)
 
     def condition_on(self, bit: int, value: int) -> tuple["JointDistribution", float]:
         """Postselect on a bit reading `value`; returns (renormalized, P(value))."""
-        self._check_bit(bit)
         p = self.prob_bit_is(bit, value)
         if p <= 0.0:
             raise ValueError(f"cannot condition on zero-probability event bit{bit}={value}")
-        states = np.arange(self.probs.size)
-        keep = ((states >> bit) & 1) == (value & 1)
-        out = np.where(keep, self.probs / p, 0.0)
+        view, v = self._split(bit), int(value)
+        out = np.zeros_like(self.probs)
+        np.divide(view[:, v], p, out=out.reshape(view.shape)[:, v])
         return JointDistribution(out, validate=False), p
 
     def __eq__(self, other) -> bool:
@@ -99,9 +106,11 @@ def product_distribution(biases: Sequence[float]) -> JointDistribution:
     if len(biases) > MAX_WIDTH:
         raise ValueError(f"register width {len(biases)} exceeds limit {MAX_WIDTH}")
     ps = [prob_from_bias(b) for b in biases]
-    probs = np.ones(1, dtype=np.float64)
-    for p in ps:
+    probs = np.ones(1 << len(ps))
+    for bit, p in enumerate(ps):
         # little-endian: each new bit becomes the next-higher index bit
-        probs = np.concatenate([probs * p, probs * (1.0 - p)])
+        low = probs[:1 << bit]
+        np.multiply(low, 1.0 - p, out=probs[1 << bit:2 << bit])
+        low *= p
     return JointDistribution(probs, validate=False)
 

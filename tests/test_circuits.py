@@ -1,6 +1,6 @@
 """Gate semantics, the two majority circuits, and the text format."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from hbcool.circuits import (
     two_bc_circuit,
     two_bc_sort_circuit,
 )
-from hbcool.distribution import product_distribution
-from hbcool.bias import two_bc_accept_bias, two_bc_accept_prob
+from hbcool.distribution import JointDistribution, product_distribution
+from hbcool.bias import ErrorRates, two_bc_accept_bias, two_bc_accept_prob
 
 TOL = 1e-12
 
@@ -221,3 +221,91 @@ class TestSerialization:
             Gate("TOFFOLI", (0,), ((1, 2), (2, 1)))  # control value not a bit
         with pytest.raises(ValueError):
             Circuit(3, (cnot(0, 1),), noise_sites=((5, 0),))
+
+
+def _every_placement(width):
+    """Every gate kind at every target/control placement and control value."""
+    for t in range(width):
+        yield not_gate(t)
+    for t, c in permutations(range(width), 2):
+        for v in (0, 1):
+            yield Gate("CNOT", (t,), ((c, v),))
+        yield swap(t, c)
+    for t, c1, c2 in permutations(range(width), 3):
+        for v1, v2 in product((0, 1), repeat=2):
+            yield gtoffoli(t, ((c1, v1), (c2, v2)))
+        for v in (0, 1):
+            yield cswap(t, c1, c2, v)
+
+
+class TestGateKernelOracle:
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_every_placement_matches_state_permutation(self, width):
+        probs = np.random.default_rng(width).random(1 << width)
+        d = JointDistribution(probs, validate=False)
+        kinds = set()
+        for gate in _every_placement(width):
+            want = np.empty_like(probs)
+            want[[gate.apply_to_state(x) for x in range(1 << width)]] = probs
+            assert np.array_equal(apply_gate(d, gate).probs, want), gate
+            kinds.add(gate.kind)
+        assert len(kinds) == min(5, 2 * width - 1)
+
+
+# The index-mask kernels that the (high, bit, low) view kernels replaced,
+# kept here as an oracle: the new kernels must reproduce them bit for bit.
+
+def _mask_gate(probs, gate, width):
+    states = np.arange(1 << width)
+    ok = np.ones(states.size, dtype=bool)
+    for bit, val in gate.controls:
+        ok &= ((states >> bit) & 1) == val
+    if len(gate.targets) == 1:
+        images = states ^ (1 << gate.targets[0])
+    else:
+        a, b = gate.targets
+        differ = ((states >> a) & 1) ^ ((states >> b) & 1)
+        images = states ^ ((differ << a) | (differ << b))
+    out = np.empty_like(probs)
+    out[np.where(ok, images, states)] = probs
+    return out
+
+
+def _mask_channel(probs, bit, rates):
+    states = np.arange(probs.size)
+    flipped = probs[states ^ (1 << bit)]
+    bit_is_zero = ((states >> bit) & 1) == 0
+    stay = np.where(bit_is_zero, 1.0 - rates.eps0, 1.0 - rates.eps1)
+    arrive = np.where(bit_is_zero, rates.eps1, rates.eps0)
+    return probs * stay + flipped * arrive
+
+
+def _mask_keep(probs, bit, value):
+    return ((np.arange(probs.size) >> bit) & 1) == value
+
+
+class TestWideRegisterAgainstMaskKernels:
+    def test_benchmark_shape_at_width_20(self):
+        width, triples = 20, ((17, 3, 9), (0, 12, 19))
+        biases = np.random.default_rng(20).uniform(0.05, 0.95, width).tolist()
+        rates = ErrorRates.from_sd(0.03, 0.011)
+        gates = [g for a, b, c in triples for g in (cnot(a, b), cnot(a, c), toffoli(b, c, a))]
+        sites = [(len(gates), bit) for triple in triples for bit in triple]
+        dist = Circuit(width, tuple(gates), tuple(sites)).run_with_channels(
+            product_distribution(biases), rates)
+
+        probs = product_distribution(biases).probs
+        for g in gates:
+            probs = _mask_gate(probs, g, width)
+        for _, bit in sites:
+            probs = _mask_channel(probs, bit, rates)
+        assert np.array_equal(dist.probs, probs)
+        for bit in range(width):
+            assert dist.marginal_bias(bit) == 2.0 * float(
+                probs[_mask_keep(probs, bit, 0)].sum()) - 1.0
+        flag = triples[0][1]
+        keep = _mask_keep(probs, flag, 0)
+        p = float(probs[keep].sum())
+        post, accept = dist.condition_on(flag, 0)
+        assert accept == p
+        assert np.array_equal(post.probs, np.where(keep, probs / p, 0.0))

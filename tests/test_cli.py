@@ -215,6 +215,23 @@ class TestEfficiency:
         assert code == 1
         assert "--mode approx" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("algorithm", ["simple", "heatbath"])
+    @pytest.mark.parametrize("tol", ["1e-12", "-1", "nan"])
+    def test_noiseless_schedules_reject_tol(self, capsys, algorithm, tol):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--bi", "0.1",
+                            "--target", "0.5", "--tol", tol)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"--tol does not apply to the noiseless {algorithm} schedule"}
+
+    @pytest.mark.parametrize("extra", [("--bi", "0.1"), ("--tol", "1e-6"),
+                                       ("--noise-model", "sym-after", "--eps", "0.01")])
+    def test_bound_fuzz_rejects_schedule_flags(self, capsys, extra):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
+                            "--trials", "10", *extra)
+        assert code == 1
+        assert "not apply to bound-fuzz" in json.loads(out)["error"]
+
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
                             "--bi", "0.2", "--target", "0.9", "--trace")
@@ -298,6 +315,30 @@ class TestSimulate:
         assert rec["output_bias"] == pytest.approx(kept.marginal_bias(0), abs=1e-15)
         assert rec["output_bias"] != plain["output_bias"]
 
+    @pytest.mark.parametrize("post", ["1=2", "1=-1"])
+    def test_postselect_value_must_be_a_bit(self, capsys, post):
+        code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
+                            "--bias", "0.3", "--postselect", post)
+        assert code == 1
+        assert "bit value must be 0 or 1" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("extra", [
+        ("--bias", "0.3"), ("--biases", "0.1,0.2,0.3"), ("--postselect", "1=0"),
+        ("--eps", "0.1"), ("--eps0", "0.1", "--eps1", "0.2"), ("--s", "0.1", "--d", "0"),
+        ("--output-bit", "1")])
+    def test_state_run_rejects_distribution_flags(self, capsys, extra):
+        code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
+                            "--state", "011", *extra)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error.startswith(extra[0]) and error.endswith("not apply to a --state run")
+
+    def test_bias_and_biases_are_exclusive(self, capsys):
+        code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
+                            "--bias", "0.3", "--biases", "0.1,0.2,0.3")
+        assert code == 1
+        assert json.loads(out) == {"error": "give --bias or --biases, not both"}
+
     def test_builtin_and_file_mutually_exclusive(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
                           "--circuit", "x.txt", "--state", "011")
@@ -375,6 +416,21 @@ class TestTape:
                             "--action", "cool", "--positions", "1,2")
         assert code == 1
         assert "exactly three" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("action, own, foreign", [
+        ("shift", ("--fixed", "B"), ("--pos", "4")),
+        ("shift", ("--fixed", "B"), ("--perm", "x")),
+        ("swap", ("--pos", "1"), ("--fixed", "A")),
+        ("permute", ("--perm", "1,0,2,3,4,5,6,7,8"), ("--positions", "0,1,2")),
+        ("cool", ("--positions", "3,4,5"), ("--program", "p.txt")),
+        ("replay", ("--program", "p.txt"), ("--perm", "0,1,2,3,4,5,6,7,8")),
+    ])
+    def test_flags_of_other_actions_rejected(self, capsys, action, own, foreign):
+        code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",
+                            "--action", action, *own, *foreign)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"{foreign[0]} does not apply to --action {action}"}
 
     def test_bit_count_mismatch(self, capsys):
         code, _ = run_cli(capsys, "tape", "--m", "3", "--bits", "01",

@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from hbcool.bias import ErrorRates
+from hbcool.bias import ErrorRates, prob_from_bias
 from hbcool.distribution import MAX_WIDTH, JointDistribution, product_distribution
 
 TOL = 1e-12
@@ -104,3 +106,56 @@ class TestConditioning:
         d = product_distribution([0.0])
         with pytest.raises(ValueError):
             d.marginal_bias(1)
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_rejects_values_other_than_bits(self, value):
+        d = product_distribution([0.3, 0.6])
+        with pytest.raises(ValueError, match="0 or 1"):
+            d.prob_bit_is(0, value)
+        with pytest.raises(ValueError, match="0 or 1"):
+            d.condition_on(0, value)
+
+
+def _dyadic_register(width: int) -> JointDistribution:
+    """Distinct multiples of 2^-30: sums of them are exact in any order."""
+    rng = np.random.default_rng(width)
+    weights = rng.permutation(np.arange(1, (1 << width) + 1)) * 1009
+    return JointDistribution(weights / 2.0**30, validate=False)
+
+
+class TestKernelsAgainstIndexLoops:
+    """Each (high, bit, low) view kernel equals a per-index loop, exactly."""
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_channel(self, width):
+        d = _dyadic_register(width)
+        p = d.probs.tolist()
+        stay = (1.0 - 0.07, 1.0 - 0.31)
+        leave = (0.07, 0.31)
+        for bit in range(width):
+            want = []
+            for x in range(1 << width):
+                v = (x >> bit) & 1
+                want.append(p[x] * stay[v] + p[x ^ (1 << bit)] * leave[1 - v])
+            assert d.apply_bitflip_channel(bit, ErrorRates(0.07, 0.31)).probs.tolist() == want
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_marginal_and_condition(self, width):
+        d = _dyadic_register(width)
+        p = d.probs.tolist()
+        for bit, value in product(range(width), (0, 1)):
+            kept = [x for x in range(1 << width) if (x >> bit) & 1 == value]
+            total = sum(p[x] for x in kept)
+            assert d.prob_bit_is(bit, value) == total
+            cond, prob = d.condition_on(bit, value)
+            assert prob == total
+            assert cond.probs.tolist() == [p[x] / total if x in kept else 0.0
+                                           for x in range(1 << width)]
+
+    def test_product_matches_doubling(self):
+        biases = np.random.default_rng(3).uniform(-0.9, 0.9, 12).tolist()
+        want = np.ones(1)
+        for b in biases:
+            p = prob_from_bias(b)
+            want = np.concatenate([want * p, want * (1.0 - p)])
+        assert np.array_equal(product_distribution(biases).probs, want)
