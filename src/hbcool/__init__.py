@@ -1,6 +1,12 @@
 """Heat-bath algorithmic cooling: bias algebra, exact circuit simulation,
 error thresholds and limits, cooling schedules, and an ABC-chain tape
-emulator with a command-line front end (`hbcool`)."""
+emulator with a command-line front end (`hbcool`).
+
+Importing the package does not import numpy: the numpy-backed register
+names (`JointDistribution`, `product_distribution` and the `distribution`
+module) load on first access."""
+
+from importlib import import_module as _import_module
 
 from .bias import (
     ErrorRates,
@@ -40,7 +46,6 @@ from .cooling import (
     three_bc_hb,
     trace_to_jsonl,
 )
-from .distribution import JointDistribution, product_distribution
 from .limits import (
     ASYM_AFTER,
     ASYM_DURING,
@@ -89,3 +94,19 @@ from .tape import (
 )
 
 __version__ = "0.1.0"
+
+_REGISTER_NAMES = ("JointDistribution", "product_distribution")
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")]
+                 + ["distribution", *_REGISTER_NAMES])
+
+
+def __getattr__(name: str):
+    if name != "distribution" and name not in _REGISTER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    distribution = _import_module(".distribution", __name__)
+    return distribution if name == "distribution" else getattr(distribution, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

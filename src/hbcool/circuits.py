@@ -19,15 +19,21 @@ Circuits serialize to a line-oriented text format, one gate per line:
 
 Targets are bare indices; controls are written bit:value. NOISE lines
 list the noise sites as `NOISE pos bit`.
+
+This module does not import numpy: gates, circuits, text and basis-state
+runs are pure Python, and only a distribution handed to `apply_gate`
+brings the numpy-backed register with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bias import ErrorRates
-from .distribution import JointDistribution
+
+if TYPE_CHECKING:
+    from .distribution import JointDistribution
 
 __all__ = [
     "Gate", "Circuit",
@@ -37,6 +43,8 @@ __all__ = [
     "two_bc_circuit", "two_bc_sort_circuit", "cnot_cswap_majority",
     "circuit_to_text", "circuit_from_text",
 ]
+
+MAX_WIDTH = 20  # widest register a circuit or a joint distribution may span
 
 NOT = "NOT"
 CNOT = "CNOT"
@@ -126,7 +134,7 @@ def apply_gate(dist: JointDistribution, gate: Gate) -> JointDistribution:
     src = dist.probs.reshape((2,) * n)
     out = src.copy()
     out[tuple(lo)], out[tuple(hi)] = src[tuple(hi)], src[tuple(lo)]
-    return JointDistribution(out.reshape(-1), validate=False)
+    return type(dist)(out.reshape(-1), validate=False)
 
 
 @dataclass(frozen=True)
@@ -140,8 +148,8 @@ class Circuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "noise_sites", tuple(self.noise_sites))
-        if self.width < 1 or self.width > 20:
-            raise ValueError("circuit width must be in 1..20")
+        if self.width < 1 or self.width > MAX_WIDTH:
+            raise ValueError(f"circuit width must be in 1..{MAX_WIDTH}")
         for g in self.gates:
             if g.max_index >= self.width:
                 raise ValueError(f"gate {g} exceeds width {self.width}")

@@ -17,7 +17,6 @@ from pathlib import Path
 from . import bias as bias_mod
 from . import circuits, cooling, limits, tape
 from .bias import ErrorRates
-from .distribution import product_distribution
 from .jsonio import dumps as jdumps
 
 _CSV_COMMANDS = {"thresholds", "table", "limits"}
@@ -168,25 +167,33 @@ def _cmd_table(args) -> tuple[object, str]:
     return rows, text
 
 
+# the bound fuzzer's own flags and their defaults; the schedules take none of them
+_FUZZ_DEFAULTS = {"trials": 10000, "max_bits": 8, "max_ops": 20, "seed": 0}
+
+
 def _cmd_efficiency(args) -> tuple[object, str]:
     if args.algorithm == "bound-fuzz":
-        _reject_flags(args, ("bi", "target", "tol", "noise_model") + _RATE_FLAGS,
-                      "to bound-fuzz")
-        report = cooling.random_hb_trace_check(
-            trials=args.trials, max_bits=args.max_bits, seed=args.seed,
-            max_ops=args.max_ops)
+        _reject_flags(args, ("bi", "target", "mode", "tol", "trace", "noise_model")
+                      + _RATE_FLAGS, "to bound-fuzz")
+        report = cooling.random_hb_trace_check(**{
+            name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _FUZZ_DEFAULTS.items()})
         return report, (f"bound-fuzz: {report['violations']} violations "
                         f"in {report['trials']} trials (seed {report['seed']})")
+    _reject_flags(args, tuple(_FUZZ_DEFAULTS), f"to the {args.algorithm} schedule")
     if args.bi is None or args.target is None:
         raise ValueError("--bi and --target are required")
-    rates = _parse_rates(args, required=False)
+    mode = "exact" if args.mode is None else args.mode
     tol = 1e-12 if args.tol is None else args.tol
-    if args.noise_model is None and args.algorithm in ("simple", "heatbath"):
-        _reject_flags(args, ("tol",), f"to the noiseless {args.algorithm} schedule")
+    if args.noise_model is None:
+        _reject_flags(args, _RATE_FLAGS, "without --noise-model")
+        if args.algorithm in ("simple", "heatbath"):
+            _reject_flags(args, ("tol",), f"to the noiseless {args.algorithm} schedule")
     if args.noise_model is not None:
+        rates = _parse_rates(args, required=False)
         if rates is None:
             raise ValueError("--noise-model requires error rates")
-        if args.mode != "exact":
+        if mode != "exact":
             raise ValueError("noisy runs are exact; --mode approx does not apply")
         name = {"simple": "simple-recursive", "fibonacci": "fibonacci"}.get(args.algorithm)
         if name is None:
@@ -194,13 +201,13 @@ def _cmd_efficiency(args) -> tuple[object, str]:
         result = cooling.run_with_noise(name, args.bi, args.target, rates,
                                         model=args.noise_model, tol=tol)
     elif args.algorithm == "simple":
-        result = cooling.simple_recursive(args.bi, args.target, mode=args.mode)
+        result = cooling.simple_recursive(args.bi, args.target, mode=mode)
     elif args.algorithm == "heatbath":
-        if args.mode != "exact":
+        if mode != "exact":
             raise ValueError("heatbath runs are exact; --mode approx does not apply")
         result = cooling.heatbath_recursive(args.bi, args.target)
     elif args.algorithm == "fibonacci":
-        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=args.mode, tol=tol)
+        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=mode, tol=tol)
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
     if args.trace:
@@ -250,6 +257,8 @@ def _cmd_simulate(args) -> tuple[object, str]:
         out_bits = "".join(str((y >> i) & 1) for i in range(circuit.width))
         record = {"width": circuit.width, "state_in": args.state, "state_out": out_bits}
         return record, f"{args.state} -> {out_bits}"
+
+    from .distribution import product_distribution  # loads numpy: only registers need it
 
     if args.bias is not None:
         biases = [args.bias] * circuit.width
@@ -381,14 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("simple", "heatbath", "fibonacci", "bound-fuzz"))
     p.add_argument("--bi", type=float, help="initial (bath) bias")
     p.add_argument("--target", type=float, help="target bias")
-    p.add_argument("--mode", choices=("approx", "exact"), default="exact")
+    p.add_argument("--mode", choices=("approx", "exact"),
+                   help="closed form or exact recursion (default exact)")
     p.add_argument("--tol", type=float, help="convergence tolerance (default 1e-12)")
-    p.add_argument("--trace", action="store_true", help="emit the JSONL step trace")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="emit the JSONL step trace")
     p.add_argument("--noise-model", choices=limits.MODEL_LABELS)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--max-bits", type=int, default=8)
-    p.add_argument("--max-ops", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="bound-fuzz trials (default 10000)")
+    p.add_argument("--max-bits", type=int, help="bound-fuzz register size cap (default 8)")
+    p.add_argument("--max-ops", type=int, help="bound-fuzz operations per trial (default 20)")
+    p.add_argument("--seed", type=int, help="bound-fuzz random seed (default 0)")
     _add_rate_flags(p)
     add_format(p)
     p.set_defaults(func=_cmd_efficiency)

@@ -17,10 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .bias import ErrorRates, prob_from_bias
+from .circuits import MAX_WIDTH
 
 __all__ = ["MAX_WIDTH", "JointDistribution", "product_distribution"]
-
-MAX_WIDTH = 20
 
 _SUM_TOL = 1e-12
 

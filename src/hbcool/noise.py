@@ -12,6 +12,9 @@ update in this package and is called only by tests: it sums exact tuple
 probabilities over all (input state) x (error pattern) combinations,
 with per-site flip probabilities that may depend on the bit's value at
 the site (the asymmetric channel). No sampling is involved anywhere.
+
+Importing this module does not import numpy; `transfer_table` loads the
+register module, and numpy with it, when it builds its first table.
 """
 
 from __future__ import annotations
@@ -20,11 +23,8 @@ import math
 from itertools import permutations
 from typing import Sequence
 
-import numpy as np
-
 from .bias import ErrorRates, prob_from_bias
-from .circuits import Circuit
-from .distribution import MAX_WIDTH, JointDistribution
+from .circuits import MAX_WIDTH, Circuit
 
 __all__ = [
     "transfer_table",
@@ -77,6 +77,10 @@ def transfer_table(circuit: Circuit, rates: ErrorRates) -> tuple[float, ...]:
     each basis state x in its own block. The output bias for independent
     input bits is then 2 * sum_x P(x) * table[x] - 1.
     """
+    import numpy as np
+
+    from .distribution import JointDistribution
+
     if 2 * circuit.width > MAX_WIDTH:
         raise ValueError(f"transfer tables need width at most {MAX_WIDTH // 2}, "
                          f"got {circuit.width}")

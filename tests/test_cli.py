@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hbcool
+from hbcool import distribution
 from hbcool.bias import ErrorRates, debias_step
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.cli import main
@@ -225,12 +230,29 @@ class TestEfficiency:
             "error": f"--tol does not apply to the noiseless {algorithm} schedule"}
 
     @pytest.mark.parametrize("extra", [("--bi", "0.1"), ("--tol", "1e-6"),
-                                       ("--noise-model", "sym-after", "--eps", "0.01")])
+                                       ("--noise-model", "sym-after", "--eps", "0.01"),
+                                       ("--mode", "approx"), ("--mode", "exact"),
+                                       ("--trace",)])
     def test_bound_fuzz_rejects_schedule_flags(self, capsys, extra):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
                             "--trials", "10", *extra)
         assert code == 1
         assert "not apply to bound-fuzz" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("flag", ["--trials", "--max-bits", "--max-ops", "--seed"])
+    @pytest.mark.parametrize("algorithm", ["simple", "heatbath", "fibonacci"])
+    def test_schedules_reject_fuzz_flags(self, capsys, algorithm, flag):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--bi", "0.1",
+                            "--target", "0.5", flag, "3")
+        assert code == 1
+        assert json.loads(out) == {"error": f"{flag} does not apply to the {algorithm} schedule"}
+
+    @pytest.mark.parametrize("rates", [("--eps", "0.01"), ("--s", "0.02", "--d", "0.01")])
+    def test_noiseless_schedules_reject_rates(self, capsys, rates):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci", "--bi", "0.1",
+                            "--target", "0.5", *rates)
+        assert code == 1
+        assert "not apply without --noise-model" in json.loads(out)["error"]
 
     def test_trace_is_jsonl(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "fibonacci",
@@ -466,3 +488,69 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == 0.6875
+
+
+# Runs `cli.main` in a fresh interpreter; reports on stderr whether numpy was loaded.
+_NUMPY_PROBE = ("import sys; from hbcool.cli import main; code = main(sys.argv[1:]); "
+                "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
+_SRC = str(Path(hbcool.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+class TestImportBoundary:
+    """Scalar commands never load numpy; only a register does."""
+
+    @pytest.mark.parametrize("argv", [
+        ("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"),
+        ("thresholds",),
+        ("table", "--eps", "0.01", "--s", "0.02", "--bi", "0.5"),
+        ("limits", "--model", "sym-during", "--eps", "0.01"),
+        ("efficiency", "--algorithm", "fibonacci", "--bi", "0.01", "--target", "0.9"),
+        ("efficiency", "--algorithm", "heatbath", "--bi", "0.01", "--target", "0.9"),
+        ("tape", "--m", "3", "--bits", "000110000", "--action", "cool",
+         "--positions", "3,4,5"),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_scalar_command_runs_without_numpy(self, capsys, argv):
+        proc = run_fresh(_NUMPY_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False"
+        assert proc.stdout == run_cli(capsys, *argv)[1]
+
+    def test_simulate_output_unchanged(self):
+        proc = run_fresh(_NUMPY_PROBE, "simulate", "--builtin", "majority-toffoli",
+                         "--bias", "0.3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            '{"width": 3, "biases": [0.29999999999999999, 0.29999999999999999, '
+            '0.29999999999999999], "output_bit": 0, "output_bias": 0.43650000000000011, '
+            '"marginals": [0.43650000000000011, 0.09000000000000008, '
+            '0.09000000000000008]}\n')
+
+    def test_register_names_load_on_first_access(self):
+        proc = run_fresh("import sys, hbcool; before = 'numpy' in sys.modules; "
+                         "hbcool.JointDistribution; print(before, 'numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False True\n"
+
+    def test_package_names_unchanged(self):
+        from hbcool import JointDistribution, product_distribution
+
+        assert JointDistribution is distribution.JointDistribution
+        assert product_distribution is distribution.product_distribution
+        assert hbcool.distribution is distribution
+        # every submodule is loaded here, so the public globals are the eager export
+        # set, plus `cli`, which this test module imports and the package does not
+        public = {name for name in vars(hbcool) if not name.startswith("_")} - {"cli"}
+        assert set(hbcool.__all__) == public | {"JointDistribution", "product_distribution"}
+        assert set(hbcool.__all__) <= set(dir(hbcool))
+        namespace: dict = {}
+        exec("from hbcool import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(hbcool.__all__)
+        assert namespace["JointDistribution"] is distribution.JointDistribution
+        with pytest.raises(AttributeError):
+            hbcool.no_such_name
