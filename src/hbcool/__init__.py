@@ -74,6 +74,7 @@ from .limits import (
     threshold_sym_during,
 )
 from .noise import (
+    RatePolynomial,
     brute_force_best_permutation_bias,
     best_bias_over_permutations,
     enumerate_noisy_output_bias,

@@ -90,10 +90,20 @@ def _parse_bit_string(text: str) -> list[int]:
 # ------------------------------------------------------------------- commands
 
 
+_LIST_RULES = ("three-bc-unequal", "steady-state")
+_NOISELESS_RULES = ("two-bc", "three-bc", "three-bc-unequal")
+
+
 def _cmd_update(args) -> tuple[object, str]:
     rule = args.rule
+    foreign = ("bias",) if rule in _LIST_RULES else ("biases",)
+    if rule != "asym-during":
+        foreign += ("order",)
+    if rule in _NOISELESS_RULES:
+        foreign += _RATE_FLAGS
+    _reject_flags(args, foreign, f"to rule {rule}")
     record: dict = {"rule": rule}
-    if rule not in ("three-bc-unequal", "steady-state"):
+    if rule not in _LIST_RULES:
         if args.bias is None:
             raise ValueError(f"--bias required for rule {rule}")
         record["bias"] = args.bias
@@ -133,7 +143,7 @@ def _cmd_update(args) -> tuple[object, str]:
         if rule == "asym-after":
             record["result"] = limits.newbias_asym_after(args.bias, rates)
         else:
-            record["order"] = args.order
+            record["order"] = args.order or "exact"
             mode = "second_order" if args.order == "second" else "exact"
             record["result"] = limits.newbias_asym_during(args.bias, rates, mode=mode)
     else:
@@ -363,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "asym-during"))
     p.add_argument("--bias", type=float)
     p.add_argument("--biases", type=str, help="comma-separated bias list")
-    p.add_argument("--order", choices=("exact", "second"), default="exact")
+    p.add_argument("--order", choices=("exact", "second"),
+                   help="asym-during only: exact or second-order update (default exact)")
     _add_rate_flags(p)
     add_format(p)
     p.set_defaults(func=_cmd_update)

@@ -13,6 +13,11 @@ point ("the bias limit": above it the step stops helping), and a
 second-order-in-rates approximation of that limit. Every root here is
 found by bracketed bisection; the closed forms exist as cross-checks,
 and the cubic for the asymmetric models is never solved by radicals.
+
+The exact asym-during update is a cubic in the input bias whose four
+weights are exact polynomials in the rates, summed from the majority
+circuit's transfer table. They are derived once per process, on first
+use: importing this module derives nothing and loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional
 
 from .bias import ErrorRates, prob_from_bias, three_bc_bias
 from .circuits import majority_circuit_toffoli
-from .noise import transfer_table
+from .noise import RatePolynomial, transfer_table
 # bound here so the benchmark's traced run can wrap it as hbcool.limits.<name>
 from .noise import enumerate_noisy_output_bias  # noqa: F401
 
@@ -192,14 +197,38 @@ def blim_asym_after_second_order(rates: ErrorRates) -> float:
 # ----------------------------------------------------------- asymmetric, during
 
 
-def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, float]:
-    """c_k = sum of P(bit 0 reads 0 | x) over the inputs x with k ones.
+@cache
+def _asym_during_weight_polynomials() -> tuple[RatePolynomial, ...]:
+    """c_0..c_3 as exact polynomials in the rates, derived on first use.
 
-    From the transfer table of the majority circuit and its 7 noise sites.
+    c_k sums the majority circuit's transfer table over the input states
+    with k ones; the circuit carries its 7 noise sites.
     """
-    table = transfer_table(majority_circuit_toffoli(), rates)
-    return tuple(math.fsum(q for x, q in enumerate(table) if x.bit_count() == k)
+    table = transfer_table(majority_circuit_toffoli())
+    return tuple(sum((q for x, q in enumerate(table) if x.bit_count() == k), RatePolynomial())
                  for k in range(4))
+
+
+def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, float]:
+    return tuple(c(rates) for c in _asym_during_weight_polynomials())
+
+
+# The second-order form of the asym-during update, 1/2 * sum_k A_k(s, d) b^k,
+# with each A_k as {(i, j): coefficient of s^i d^j}. The update and the gain
+# cubic that `blim_asym_during` bisects both read this table.
+_ASYM_DURING_SECOND_ORDER = (
+    {(0, 1): 5.0, (0, 2): 4.0, (1, 1): -6.0},
+    {(0, 0): 3.0, (1, 0): -12.0, (2, 0): 19.0, (0, 2): -1.0, (1, 1): 4.0},
+    {(0, 1): 1.0, (0, 2): -4.0},
+    {(0, 0): -1.0, (1, 0): 6.0, (2, 0): -15.0, (0, 2): -1.0},
+)
+
+
+def _asym_during_second_order_update(rates: ErrorRates) -> Callable[[float], float]:
+    s, d = rates.s, rates.d
+    a0, a1, a2, a3 = (sum(c * s**i * d**j for (i, j), c in poly.items())
+                      for poly in _ASYM_DURING_SECOND_ORDER)
+    return lambda b: 0.5 * (a0 + a1 * b + a2 * b * b + a3 * b**3)
 
 
 def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
@@ -208,9 +237,9 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
 
     exact: the exact cubic 2 * sum_k c_k p^(3-k) (1-p)^k - 1 with
     p = (1 + b)/2, where c_k sums the circuit's transfer table over the
-    input states with k ones. The table is built on each call unless
-    `weights` passes c_0..c_3 for these rates; `make_model` builds them
-    once per model.
+    input states with k ones. The c_k are exact polynomials in the rates,
+    derived once per process; each call evaluates them at `rates` unless
+    `weights` passes c_0..c_3 for these rates, as `make_model` does.
     second_order: polynomial approximation, second order in s and d.
     """
     if not (-1.0 <= b <= 1.0):
@@ -223,20 +252,8 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
     if mode == "second_order":
         if weights is not None:
             raise ValueError("weights apply to exact mode only")
-        s, d = rates.s, rates.d
-        return 0.5 * ((5.0 * d + 4.0 * d * d - 6.0 * s * d)
-                      + (3.0 - 12.0 * s + 19.0 * s * s - d * d + 4.0 * d * s) * b
-                      + d * b * b
-                      + (-1.0 + 6.0 * s - 15.0 * s * s) * b**3)
+        return _asym_during_second_order_update(rates)(b)
     raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
-
-
-def _asym_during_gain_cubic(rates: ErrorRates) -> Callable[[float], float]:
-    s, d = rates.s, rates.d
-    return lambda b: ((5.0 * d + 4.0 * d * d - 6.0 * s * d)
-                      + (1.0 - 12.0 * s + 19.0 * s * s - d * d + 4.0 * d * s) * b
-                      + d * b * b
-                      + (-1.0 + 6.0 * s - 15.0 * s * s) * b**3)
 
 
 def _check_asym_during_rates(rates: ErrorRates) -> None:
@@ -256,11 +273,12 @@ def blim_asym_during(rates: ErrorRates) -> float:
     if rates.s == 0.0:
         return 1.0
     lo = 1e-9 if rates.d == 0.0 else 0.0
-    return bisect_root(_asym_during_gain_cubic(rates), lo, 1.2)
+    update = _asym_during_second_order_update(rates)
+    return bisect_root(lambda b: update(b) - b, lo, 1.2)
 
 
 def _asym_during_second_order(s: float, d: float) -> float:
-    return 1.0 - 3.0 * s + 3.0 * d - 9.0 * d * d - 20.5 * s * s + 32.0 * d * s
+    return 1.0 - 3.0 * s + 3.0 * d - 11.5 * d * d - 20.5 * s * s + 32.0 * d * s
 
 
 def blim_asym_during_second_order(rates: ErrorRates) -> float:
@@ -295,7 +313,7 @@ def make_model(label: str, rates: ErrorRates) -> BiasUpdateModel:
     """Bind a model label to its exact update map.
 
     Symmetric labels require a symmetric channel (d = 0). asym-during
-    builds its transfer-table weights here, once per model.
+    evaluates its weight polynomials at the rates here, once per model.
     """
     if label not in MODEL_LABELS:
         raise ValueError(f"unknown model {label!r}; expected one of {MODEL_LABELS}")

@@ -1,11 +1,12 @@
 """Noisy-circuit transfer tables, exhaustive enumeration, and
 optimal-permutation search.
 
-`transfer_table` is the production path for exact noisy outputs: for a
-fixed circuit and fixed rates the output is linear in the input
-distribution, so one pass of channel propagation over every input basis
-state at once gives P(bit 0 reads 0 | x), and any product input is then
-a short weighted sum.
+`transfer_table` is the production path for exact noisy outputs. For a
+fixed circuit the output is linear in the input distribution, and
+P(bit 0 reads 0 | x) for each input basis state x is a polynomial in the
+channel rates (eps0, eps1) with integer coefficients. The table is
+derived once per circuit, in pure Python, and any product input at any
+rates is then a short weighted sum of polynomial values.
 
 The tuple enumerator is the brute-force oracle for every noisy bias
 update in this package and is called only by tests: it sums exact tuple
@@ -13,20 +14,21 @@ probabilities over all (input state) x (error pattern) combinations,
 with per-site flip probabilities that may depend on the bit's value at
 the site (the asymmetric channel). No sampling is involved anywhere.
 
-Importing this module does not import numpy; `transfer_table` loads the
-register module, and numpy with it, when it builds its first table.
+This module never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .bias import ErrorRates, prob_from_bias
-from .circuits import MAX_WIDTH, Circuit
+from .circuits import Circuit
 
 __all__ = [
+    "RatePolynomial",
     "transfer_table",
     "pattern_bits",
     "pattern_index",
@@ -36,6 +38,8 @@ __all__ = [
     "best_bias_over_permutations",
     "brute_force_best_permutation_bias",
 ]
+
+MAX_TABLE_WIDTH = 10  # a transfer table has one row per input basis state
 
 
 def pattern_bits(index: int, n_sites: int) -> tuple[int, ...]:
@@ -68,28 +72,96 @@ def _input_probabilities(width: int, input_bias) -> list[float]:
     return [prob_from_bias(b) for b in biases]
 
 
-def transfer_table(circuit: Circuit, rates: ErrorRates) -> tuple[float, ...]:
-    """P(bit 0 reads 0 | input basis state x), for every x.
+@dataclass(frozen=True)
+class RatePolynomial:
+    """A polynomial in the channel rates (eps0, eps1) with integer coefficients.
 
-    One `Circuit.run_with_channels` pass over a register twice the
-    circuit's width: the high half holds a copy of the input that no gate
-    or channel touches, so unit mass on every (x, x) keeps the output of
-    each basis state x in its own block. The output bias for independent
-    input bits is then 2 * sum_x P(x) * table[x] - 1.
+    `terms` holds (coefficient, i, j) for every nonzero coefficient of
+    eps0^i eps1^j, in (i, j) order. `degree` is the highest power of
+    either rate.
     """
-    import numpy as np
 
-    from .distribution import JointDistribution
+    terms: tuple[tuple[int, int, int], ...] = ()
+    degree: int = field(init=False, repr=False, compare=False)
 
-    if 2 * circuit.width > MAX_WIDTH:
-        raise ValueError(f"transfer tables need width at most {MAX_WIDTH // 2}, "
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", max((max(i, j) for _, i, j in self.terms),
+                                               default=0))
+
+    @classmethod
+    def _from_coefficients(cls, coefficients: Mapping[tuple[int, int], int]) -> RatePolynomial:
+        return cls(tuple((c, i, j) for (i, j), c in sorted(coefficients.items()) if c))
+
+    def __add__(self, other: RatePolynomial) -> RatePolynomial:
+        total: dict[tuple[int, int], int] = {}
+        for c, i, j in self.terms + other.terms:
+            total[i, j] = total.get((i, j), 0) + c
+        return RatePolynomial._from_coefficients(total)
+
+    def __call__(self, rates: ErrorRates) -> float:
+        """Value at the given rates; the terms are summed with math.fsum."""
+        powers0, powers1 = [1.0], [1.0]
+        for _ in range(self.degree):
+            powers0.append(powers0[-1] * rates.eps0)
+            powers1.append(powers1[-1] * rates.eps1)
+        return math.fsum([c * powers0[i] * powers1[j] for c, i, j in self.terms])
+
+
+def transfer_table(circuit: Circuit) -> tuple[RatePolynomial, ...]:
+    """P(bit 0 reads 0 | input basis state x), for every x, exact in the rates.
+
+    Each x is pushed through the gates and noise sites in
+    `Circuit.run_with_channels` order. A path's weight is
+    eps0^a (1-eps0)^b eps1^c (1-eps1)^d: a site that finds its bit at
+    value v multiplies by 1 - eps_v if the bit stays and by eps_v if it
+    flips. Paths merge on (state, a, b, c, d), and those that end with
+    bit 0 at 0 expand into the row's polynomial. The output bias for
+    independent input bits at rates r is 2 * sum_x P(x) * table[x](r) - 1.
+    """
+    if circuit.width > MAX_TABLE_WIDTH:
+        raise ValueError(f"transfer tables need width at most {MAX_TABLE_WIDTH}, "
                          f"got {circuit.width}")
-    size = 1 << circuit.width
-    joint = np.zeros(size * size)
-    joint[::size + 1] = 1.0
-    out = circuit.run_with_channels(JointDistribution(joint, validate=False), rates)
-    # row x holds the states whose input copy is x; even columns have bit 0 = 0
-    return tuple(out.probs.reshape(size, size)[:, 0::2].sum(axis=1).tolist())
+    # A path is one int: the state in the low `width` bits, and above it the
+    # exponents a, b, c, d as base-`radix` digits. Gates read and write only
+    # the state bits, so they act on the packed path as on the state.
+    radix = len(circuit.noise_sites) + 1
+    ea, eb, ec, ed = (radix**k << circuit.width for k in range(4))
+    signed_binomials = [[(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+                        for n in range(radix)]
+    by_pos: dict[int, list[int]] = {}
+    for pos, bit in circuit.noise_sites:
+        by_pos.setdefault(pos, []).append(1 << bit)
+    rows = []
+    for x in range(1 << circuit.width):
+        paths = {x: 1}
+        for pos in range(len(circuit.gates) + 1):
+            if pos > 0:
+                gate = circuit.gates[pos - 1]
+                paths = {gate.apply_to_state(path): n for path, n in paths.items()}
+            for mask in by_pos.get(pos, ()):
+                merged: dict[int, int] = {}
+                for path, n in paths.items():
+                    if path & mask:
+                        stay, flip = path + ed, (path ^ mask) + ec
+                    else:
+                        stay, flip = path + eb, (path ^ mask) + ea
+                    merged[stay] = merged.get(stay, 0) + n
+                    merged[flip] = merged.get(flip, 0) + n
+                paths = merged
+        reads_zero: dict[int, int] = {}
+        for path, n in paths.items():
+            if not path & 1:
+                digits = path >> circuit.width
+                reads_zero[digits] = reads_zero.get(digits, 0) + n
+        coefficients: dict[tuple[int, int], int] = {}
+        for digits, n in reads_zero.items():
+            a, b, c, d = (digits // radix**k % radix for k in range(4))
+            # n * eps0^a (1-eps0)^b eps1^c (1-eps1)^d, expanded binomially
+            for k, u in enumerate(signed_binomials[b]):
+                for m, v in enumerate(signed_binomials[d]):
+                    coefficients[a + k, c + m] = coefficients.get((a + k, c + m), 0) + n * u * v
+        rows.append(RatePolynomial._from_coefficients(coefficients))
+    return tuple(rows)
 
 
 def enumerate_noisy_output_bias(circuit: Circuit, input_bias, rates: ErrorRates,

@@ -32,6 +32,29 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# `hbcool update` arguments with flags the rule would ignore, and the error record
+IGNORED_UPDATE_FLAGS = [
+    (("--rule", "three-bc", "--bias", "0.5", "--order", "second", "--eps", "0.01"),
+     "--order, --eps do not apply to rule three-bc"),
+    (("--rule", "sym-during", "--bias", "0.5", "--eps", "0.01", "--order", "exact"),
+     "--order does not apply to rule sym-during"),
+    (("--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--order", "second"),
+     "--order does not apply to rule asym-after"),
+    (("--rule", "two-bc", "--bias", "0.5", "--s", "0.02", "--d", "0.01"),
+     "--s, --d do not apply to rule two-bc"),
+    (("--rule", "three-bc-unequal", "--biases", "0.2,0.4,0.6", "--eps0", "0.01",
+      "--eps1", "0.02"), "--eps0, --eps1 do not apply to rule three-bc-unequal"),
+    (("--rule", "three-bc", "--bias", "0.5", "--biases", "0.1,0.2"),
+     "--biases does not apply to rule three-bc"),
+    (("--rule", "debias", "--bias", "0.5", "--eps", "0.01", "--biases", "0.1"),
+     "--biases does not apply to rule debias"),
+    (("--rule", "three-bc-unequal", "--biases", "0.2,0.4,0.6", "--bias", "0.9"),
+     "--bias does not apply to rule three-bc-unequal"),
+    (("--rule", "steady-state", "--biases", "0.2,0.4", "--bias", "0.9"),
+     "--bias does not apply to rule steady-state"),
+]
+
+
 class TestUpdate:
     def test_three_bc(self, capsys):
         rec = run_json(capsys, "update", "--rule", "three-bc", "--bias", "0.5")
@@ -73,6 +96,20 @@ class TestUpdate:
         rec = run_json(capsys, "update", "--rule", "asym-during", "--bias", "0.5",
                        "--s", "0.02", "--d", "0.01", "--order", "second")
         assert rec["order"] == "second"
+
+    def test_asym_during_order_defaults_to_exact(self, capsys):
+        argv = ("update", "--rule", "asym-during", "--bias", "0.5", "--s", "0.02", "--d", "0.01")
+        rec = run_json(capsys, *argv)
+        assert rec["order"] == "exact"
+        assert rec == run_json(capsys, *argv, "--order", "exact")
+
+    @pytest.mark.parametrize("argv, error", IGNORED_UPDATE_FLAGS,
+                             ids=[f"{argv[1]}{error.split(' do')[0]}".replace(", ", "")
+                                  for argv, error in IGNORED_UPDATE_FLAGS])
+    def test_ignored_flags_are_rejected(self, capsys, argv, error):
+        code, out = run_cli(capsys, "update", *argv)
+        assert code == 1
+        assert json.loads(out) == {"error": error}
 
     def test_domain_error_exit_code(self, capsys):
         code, out = run_cli(capsys, "update", "--rule", "three-bc", "--bias", "1.5")
@@ -144,7 +181,7 @@ class TestTable:
         assert by_model["sym-after"]["b_lim_second_order"] == pytest.approx(0.9794)
         assert by_model["sym-during"]["b_lim_second_order"] == pytest.approx(0.9318)
         assert by_model["asym-after"]["b_lim_second_order"] == pytest.approx(0.98985)
-        assert by_model["asym-during"]["b_lim_second_order"] == pytest.approx(0.9673)
+        assert by_model["asym-during"]["b_lim_second_order"] == pytest.approx(0.96705)
 
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "table", "--format", "text")
@@ -463,6 +500,7 @@ class TestTape:
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("limits", "--model", "sym-during", "--eps", "0.01"),
+        ("limits", "--model", "asym-during", "--s", "0.02", "--d", "0.01"),
         ("thresholds", "--format", "csv"),
         ("table",),
         ("efficiency", "--algorithm", "bound-fuzz", "--trials", "100", "--seed", "5"),
@@ -507,9 +545,11 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("argv", [
         ("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"),
+        ("update", "--rule", "asym-during", "--bias", "0.5", "--s", "0.02", "--d", "0.01"),
         ("thresholds",),
         ("table", "--eps", "0.01", "--s", "0.02", "--bi", "0.5"),
         ("limits", "--model", "sym-during", "--eps", "0.01"),
+        ("limits", "--model", "asym-during", "--s", "0.02", "--d", "0.01"),
         ("efficiency", "--algorithm", "fibonacci", "--bi", "0.01", "--target", "0.9"),
         ("efficiency", "--algorithm", "heatbath", "--bi", "0.01", "--target", "0.9"),
         ("tape", "--m", "3", "--bits", "000110000", "--action", "cool",
@@ -520,6 +560,21 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "False"
         assert proc.stdout == run_cli(capsys, *argv)[1]
+
+    def test_asym_during_limit_and_schedule_load_no_numpy(self):
+        # importing the CLI derives nothing; the first asym-during model derives the
+        # weight polynomials once, in pure Python
+        proc = run_fresh(
+            "import sys; import hbcool.cli; from hbcool import cooling, limits; "
+            "from hbcool.bias import ErrorRates; "
+            "derived = limits._asym_during_weight_polynomials.cache_info().currsize; "
+            "rates = ErrorRates.from_sd(0.02, 0.01); "
+            "limits.limit_report('asym-during', rates); "
+            "cooling.run_with_noise('simple-recursive', 1e-3, 1.0, rates, model='asym-during'); "
+            "print(derived, limits._asym_during_weight_polynomials.cache_info().currsize, "
+            "'numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 1 False\n"
 
     def test_simulate_output_unchanged(self):
         proc = run_fresh(_NUMPY_PROBE, "simulate", "--builtin", "majority-toffoli",

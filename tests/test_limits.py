@@ -7,12 +7,13 @@ to the symmetric ones on the d = 0 slice.
 
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from hbcool import limits, noise
 from hbcool.bias import ErrorRates, three_bc_bias
-from hbcool.circuits import majority_circuit_toffoli
+from hbcool.circuits import Circuit, majority_circuit_toffoli
 from hbcool.cooling import run_with_noise
 from hbcool.limits import (
     ASYM_AFTER,
@@ -42,6 +43,55 @@ from hbcool.limits import (
 )
 
 BIAS_GRID = [0.1 * k for k in range(1, 10)]
+
+
+HALVED_DRIFT_FAMILY = [ErrorRates.from_sd(0.02 / 2**k, 0.01 / 2**k) for k in range(5)]
+
+
+def poly_mul(p, q):
+    """Product of two polynomials held as {exponent tuple: exact coefficient}."""
+    out: dict = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            key = tuple(a + b for a, b in zip(ep, eq))
+            out[key] = out.get(key, 0) + Fraction(cp) * cq
+    return out
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def poly_power(p, n):
+    out = {tuple(0 for _ in next(iter(p))): Fraction(1)}
+    for _ in range(n):
+        out = poly_mul(out, p)
+    return out
+
+
+def exact_asym_during_update(max_order=2):
+    """The exact update 2 sum_k c_k p^(3-k) q^k - 1 as {(m, i, j): coefficient of
+    b^m s^i d^j}, to total order `max_order` in (s, d), with eps0 = (s - d)/2 and
+    eps1 = (s + d)/2 substituted into the transfer table's polynomials."""
+    table = noise.transfer_table(majority_circuit_toffoli())
+    half = Fraction(1, 2)
+    eps0, eps1 = {(1, 0): half, (0, 1): -half}, {(1, 0): half, (0, 1): half}
+    p, q = {(0,): half, (1,): half}, {(0,): half, (1,): -half}
+    update: dict = {(0, 0, 0): Fraction(-1)}
+    for x, row in enumerate(table):
+        k = x.bit_count()
+        in_b = poly_mul(poly_power(p, 3 - k), poly_power(q, k))
+        for c, i, j in row.terms:
+            if i + j > max_order:
+                continue
+            in_sd = poly_mul(poly_power(eps0, i), poly_power(eps1, j))
+            for (m,), cb in in_b.items():
+                for (a, e), cs in in_sd.items():
+                    update[m, a, e] = update.get((m, a, e), 0) + 2 * c * cb * cs
+    return update
 
 
 class TestBisectRoot:
@@ -252,6 +302,7 @@ class TestAsymmetricDuring:
 
         monkeypatch.setattr(noise, "enumerate_noisy_output_bias", refuse)
         monkeypatch.setattr(limits, "enumerate_noisy_output_bias", refuse)
+        monkeypatch.setattr(Circuit, "run_with_channels", refuse)
         rates = ErrorRates.from_sd(0.02, 0.01)
         report = limit_report(ASYM_DURING, rates)
         run = run_with_noise("simple-recursive", 1e-3, 1.0, rates, model=ASYM_DURING)
@@ -262,13 +313,48 @@ class TestAsymmetricDuring:
         rates = ErrorRates.from_sd(0.02, 0.01)
         got = blim_asym_during(rates)
         assert got == pytest.approx(0.9673, abs=1e-3)  # near the second-order form
-        assert got == pytest.approx(0.9672050624725428, abs=1e-9)
+        assert got == pytest.approx(0.9669316005495601, abs=1e-9)
 
     def test_second_order_quality_on_halved_drift_family(self):
         for s in (0.002, 0.008, 0.0132):
             rates = ErrorRates.from_sd(s, s / 2)
             gap = abs(blim_asym_during(rates) - blim_asym_during_second_order(rates))
             assert gap <= 1e-4
+
+    @pytest.mark.parametrize("b", [-0.7, 0.3, 0.9])
+    def test_second_order_update_is_third_order_accurate(self, b):
+        # d = s/2, s halved from 0.02: an O(s^3) residual shrinks about 8x per halving
+        residuals = [abs(newbias_asym_during(b, rates, "second_order")
+                         - newbias_asym_during(b, rates, "exact"))
+                     for rates in HALVED_DRIFT_FAMILY]
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
+
+    def test_second_order_limit_is_third_order_accurate(self):
+        residuals = [abs(blim_asym_during_second_order(rates)
+                         - limit_report(ASYM_DURING, rates).b_lim)
+                     for rates in HALVED_DRIFT_FAMILY]
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
+
+    def test_second_order_coefficients_are_the_exact_taylor_coefficients(self):
+        # expand the exact update, from the circuit's polynomials, in b, s and d
+        exact = exact_asym_during_update()
+        for m, coefficients in enumerate(limits._ASYM_DURING_SECOND_ORDER):
+            for i in range(3):
+                for j in range(3 - i):
+                    want = exact.get((m, i, j), 0)
+                    assert Fraction(coefficients.get((i, j), 0.0)) / 2 == want, (m, i, j)
+
+    def test_exact_update_is_the_symmetric_closed_form_at_zero_drift(self):
+        # (b/2)(1-2e)^3 (3 - 6e + 4e^2 - b^2 (1-2e)^3), coefficient by coefficient in (b, e)
+        cube = poly_power({(0, 0): 1, (0, 1): -2}, 3)
+        closed = poly_mul(poly_mul({(1, 0): Fraction(1, 2)}, cube),
+                          poly_add({(0, 0): 3, (0, 1): -6, (0, 2): 4},
+                                   poly_mul({(2, 0): -1}, cube)))
+        # on d = 0, s = 2e: the term b^m s^i carries 2^i e^i
+        zero_drift = {(m, i): c * 2**i
+                      for (m, i, j), c in exact_asym_during_update(max_order=7).items()
+                      if j == 0 and c}
+        assert zero_drift == {k: c for k, c in closed.items() if c}
 
     def test_symmetric_slice_second_order_identity(self):
         eps = 0.005

@@ -15,6 +15,7 @@ from hbcool.bias import ErrorRates, three_bc_bias
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.distribution import product_distribution
 from hbcool.noise import (
+    RatePolynomial,
     best_bias_over_permutations,
     brute_force_best_permutation_bias,
     enumerate_noisy_output_bias,
@@ -185,10 +186,10 @@ TABLE_CASES = [
 ]
 
 
-def table_bias(table, biases):
-    """2 * sum_x P(x) q_x - 1 for independent input bits."""
+def table_bias(table, biases, rates):
+    """2 * sum_x P(x) q_x(rates) - 1 for independent input bits."""
     ps = [(1 + b) / 2 for b in biases]
-    terms = [q * math.prod(p if (x >> i) & 1 == 0 else 1 - p for i, p in enumerate(ps))
+    terms = [q(rates) * math.prod(p if (x >> i) & 1 == 0 else 1 - p for i, p in enumerate(ps))
              for x, q in enumerate(table)]
     return 2 * math.fsum(terms) - 1
 
@@ -199,23 +200,39 @@ class TestTransferTable:
     @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
     def test_weighted_sum_matches_enumeration(self, circuit, biases, eps0, eps1):
         rates = ErrorRates(eps0, eps1)
-        table = transfer_table(circuit, rates)
+        table = transfer_table(circuit)
         assert len(table) == 1 << circuit.width
         enum = enumerate_noisy_output_bias(circuit, biases, rates)
-        assert table_bias(table, biases) == pytest.approx(enum, abs=1e-14)
+        assert table_bias(table, biases, rates) == pytest.approx(enum, abs=1e-14)
 
     @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
     def test_noiseless_entries_are_the_output_bit(self, circuit, biases):
-        table = transfer_table(circuit, ErrorRates(0.0, 0.0))
-        for x, q in enumerate(table):
+        for x, q in enumerate(transfer_table(circuit)):
             reads_zero = circuit.apply_to_state(x) & 1 == 0
-            assert q == (1.0 if reads_zero else 0.0)
+            assert q(ErrorRates(0.0, 0.0)) == (1.0 if reads_zero else 0.0)
+            # the constant term is the noiseless entry; every other term carries a rate
+            constant = [c for c, i, j in q.terms if i == j == 0]
+            assert constant == ([1] if reads_zero else [])
+
+    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
+    def test_coefficients_are_integers_up_to_the_site_count(self, circuit, biases):
+        # each site contributes one factor eps_v or 1 - eps_v to every path
+        for q in transfer_table(circuit):
+            assert all(type(c) is int and c != 0 for c, _, _ in q.terms)
+            assert all(i + j <= len(circuit.noise_sites) for _, i, j in q.terms)
+
+    def test_polynomial_sum(self):
+        a = RatePolynomial(((1, 0, 0), (-2, 1, 0)))
+        b = RatePolynomial(((2, 1, 0), (3, 0, 2)))
+        assert a + b == RatePolynomial(((1, 0, 0), (3, 0, 2)))
+        assert (a + b)(ErrorRates(0.1, 0.2)) == pytest.approx(1 + 3 * 0.04, abs=1e-15)
+        assert RatePolynomial()(ErrorRates(0.1, 0.2)) == 0.0
 
     def test_width_limit(self):
-        # the input copy doubles the register, which holds at most 20 bits
-        assert len(transfer_table(circuit_from_text("NOT 9\n"), ErrorRates(0.0, 0.0))) == 1024
+        # one row per input basis state, kept to 2^10 rows
+        assert len(transfer_table(circuit_from_text("NOT 9\n"))) == 1024
         with pytest.raises(ValueError, match="at most 10"):
-            transfer_table(circuit_from_text("NOT 10\n"), ErrorRates(0.0, 0.0))
+            transfer_table(circuit_from_text("NOT 10\n"))
 
 
 class TestOptimalPermutation:
