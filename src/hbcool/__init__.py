@@ -56,13 +56,8 @@ from .limits import (
     attracting_limit,
     bisect_root,
     blim_asym_after,
-    blim_asym_after_second_order,
-    blim_asym_during,
-    blim_asym_during_second_order,
     blim_sym_after,
-    blim_sym_after_second_order,
     blim_sym_during,
-    blim_sym_during_second_order,
     limit_report,
     make_model,
     newbias_asym_after,
@@ -79,9 +74,6 @@ from .noise import (
     best_bias_over_permutations,
     enumerate_noisy_output_bias,
     optimal_permutation_bias,
-    pattern_bits,
-    pattern_index,
-    symmetric_pattern_probability,
     transfer_table,
 )
 from .tape import (

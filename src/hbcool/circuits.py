@@ -28,7 +28,7 @@ brings the numpy-backed register with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .bias import ErrorRates
 
@@ -162,24 +162,6 @@ class Circuit:
     def apply_to_state(self, x: int) -> int:
         for g in self.gates:
             x = g.apply_to_state(x)
-        return x
-
-    def apply_to_state_with_flips(self, x: int, flips: Sequence[int]) -> int:
-        """Run on a basis state with a NOT inserted at every flagged noise site.
-
-        `flips` has one 0/1 entry per noise site, in site order.
-        """
-        if len(flips) != len(self.noise_sites):
-            raise ValueError("one flip flag per noise site required")
-        by_pos: dict[int, list[int]] = {}
-        for k, (pos, bit) in enumerate(self.noise_sites):
-            by_pos.setdefault(pos, []).append(k)
-        for pos in range(len(self.gates) + 1):
-            if pos > 0:
-                x = self.gates[pos - 1].apply_to_state(x)
-            for k in by_pos.get(pos, ()):
-                if flips[k]:
-                    x ^= 1 << self.noise_sites[k][1]
         return x
 
     def run(self, dist: JointDistribution) -> JointDistribution:

@@ -10,26 +10,31 @@ to the 3-bit majority step and whether it is symmetric:
 
 Each model has an exact bias-update map, a largest attracting fixed
 point ("the bias limit": above it the step stops helping), and a
-second-order-in-rates approximation of that limit. Every root here is
-found by bracketed bisection; the closed forms exist as cross-checks,
-and the cubic for the asymmetric models is never solved by radicals.
+second-order-in-rates approximation of that limit. Every exact root here
+is found by bracketed bisection; the closed forms exist as cross-checks.
 
-The exact asym-during update is a cubic in the input bias whose four
-weights are exact polynomials in the rates, summed from the majority
-circuit's transfer table. They are derived once per process, on first
-use: importing this module derives nothing and loads no numpy.
+The four models are two circuits, each at two rate slices. The during
+models run the Toffoli majority circuit with its 7 noise sites, the
+after models the same gates with one site on bit 0 after the last gate,
+and the symmetric models are the s = 2 eps, d = 0 slice of the
+asymmetric ones. A circuit's transfer table, summed by input weight,
+gives the four weights c_0..c_3 of its update, a cubic in the input
+bias, as exact polynomials in the rates. The exact asym-during update
+evaluates them, and every model's second-order update and limit are
+expanded from them in exact rationals. Each derivation runs once per
+process and circuit, on first use: importing this module derives
+nothing and loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Optional
 
 from .bias import ErrorRates, prob_from_bias, three_bc_bias
-from .circuits import majority_circuit_toffoli
+from .circuits import Circuit, majority_circuit_toffoli
 from .noise import RatePolynomial, transfer_table
 # bound here so the benchmark's traced run can wrap it as hbcool.limits.<name>
 from .noise import enumerate_noisy_output_bias  # noqa: F401
@@ -38,11 +43,9 @@ __all__ = [
     "SYM_AFTER", "SYM_DURING", "ASYM_AFTER", "ASYM_DURING", "MODEL_LABELS",
     "bisect_root",
     "newbias_sym_after", "threshold_sym_after",
-    "blim_sym_after", "blim_sym_after_second_order",
-    "newbias_sym_during", "threshold_sym_during",
-    "blim_sym_during", "blim_sym_during_second_order",
-    "newbias_asym_after", "blim_asym_after", "blim_asym_after_second_order",
-    "newbias_asym_during", "blim_asym_during", "blim_asym_during_second_order",
+    "blim_sym_after",
+    "newbias_sym_during", "threshold_sym_during", "blim_sym_during",
+    "newbias_asym_after", "blim_asym_after", "newbias_asym_during",
     "THRESHOLDS", "BiasUpdateModel", "make_model", "attracting_limit",
     "LimitReport", "limit_report", "summary_table",
 ]
@@ -86,6 +89,86 @@ def _check_rate(eps: float, hi: float = 0.5) -> float:
     return float(eps)
 
 
+# ------------------------------------------------- the two circuits' forms
+
+
+@cache
+def _weight_polynomials(during: bool) -> tuple[RatePolynomial, ...]:
+    """c_0..c_3 as exact polynomials in the rates, derived on first use.
+
+    c_k sums a circuit's transfer table over the input states with k ones.
+    The during models' circuit is the Toffoli majority with its 7 noise
+    sites; the after models' has the same gates and one site, on bit 0
+    after the last gate.
+    """
+    circuit = majority_circuit_toffoli()
+    if not during:
+        circuit = Circuit(circuit.width, circuit.gates, ((len(circuit.gates), 0),))
+    table = transfer_table(circuit)
+    return tuple(sum((q for x, q in enumerate(table) if x.bit_count() == k), RatePolynomial())
+                 for k in range(4))
+
+
+def _add_product(out: dict, p: dict, q: dict) -> dict:
+    """out += p * q, for polynomials in (s, d) held as {(i, j): coefficient of
+    s^i d^j}, truncated to total degree 2."""
+    for (i, j), a in p.items():
+        for (k, m), c in q.items():
+            if i + j + k + m <= 2:
+                out[i + k, j + m] = out.get((i + k, j + m), 0) + a * c
+    return out
+
+
+@cache
+def _second_order_forms(during: bool) -> tuple[tuple, tuple[float, ...]]:
+    """A circuit's update and bias limit to second order in (s, d), derived
+    exactly on first use.
+
+    The update is 2 sum_k c_k p^(3-k) q^k - 1 with p, q = (1 +- b)/2, and
+    eps0 = (s - d)/2, eps1 = (s + d)/2 put into each c_k. Returns its b^m
+    coefficient for m = 0..3, each as (coefficient, i, j) terms of s^i d^j
+    in evaluation order, and the limit's coefficients of s, d, s^2, sd, d^2.
+    """
+    from fractions import Fraction  # loaded here: commands that derive nothing never need it
+
+    half = Fraction(1, 2)
+    powers0, powers1 = [{(0, 0): 1}], [{(0, 0): 1}]
+    for _ in range(2):
+        powers0.append(_add_product({}, powers0[-1], {(1, 0): half, (0, 1): -half}))
+        powers1.append(_add_product({}, powers1[-1], {(1, 0): half, (0, 1): half}))
+    update: list[dict] = [{(0, 0): -1}, {}, {}, {}]
+    for k, weight in enumerate(_weight_polynomials(during)):
+        in_sd: dict = {}
+        for n, i, j in weight.terms:
+            if i + j <= 2:
+                _add_product(in_sd, {(0, 0): n}, _add_product({}, powers0[i], powers1[j]))
+        for m in range(4):
+            # the b^m coefficient of 2 p^(3-k) q^k = (1 + b)^(3-k) (1 - b)^k / 4
+            beta = sum(math.comb(3 - k, r) * math.comb(k, m - r) * (-1) ** (m - r)
+                       for r in range(m + 1))
+            _add_product(update[m], in_sd, {(0, 0): Fraction(beta, 4)})
+    # b <- update(b) from b = 1: the update's b-slope at 1 is 0 when s = d = 0,
+    # so each pass fixes one more order of the limit
+    b: dict = {(0, 0): 1}
+    for _ in range(2):
+        value, power = {}, {(0, 0): 1}
+        for a in update:
+            _add_product(value, a, power)
+            power = _add_product({}, power, b)
+        b = value
+    # each b^m coefficient sums its pure-s terms, then its pure-d ones, then the mixed
+    order = lambda key: (0 if key[1] == 0 else 1 if key[0] == 0 else 2, sum(key))
+    terms = tuple(tuple((float(a[key]), *key) for key in sorted(a, key=order) if a[key])
+                  for a in update)
+    return terms, tuple(float(b.get(key, 0)) for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+
+
+def _second_order_limit(label: str, s: float, d: float) -> float:
+    """The model's bias limit to second order in (s, d), as 1 + a_s s + ... + a_dd d^2."""
+    a_s, a_d, a_ss, a_sd, a_dd = _second_order_forms(label in (SYM_DURING, ASYM_DURING))[1]
+    return 1.0 + a_s * s + a_d * d + a_ss * s * s + a_sd * s * d + a_dd * d * d
+
+
 # ------------------------------------------------------------- symmetric, after
 
 
@@ -106,11 +189,6 @@ def blim_sym_after(eps: float) -> float:
     if eps >= 1.0 / 6.0:
         return 0.0
     return math.sqrt((1.0 - 6.0 * eps) / (1.0 - 2.0 * eps))
-
-
-def blim_sym_after_second_order(eps: float) -> float:
-    _check_rate(eps)
-    return 1.0 - 2.0 * eps - 6.0 * eps * eps
 
 
 # ------------------------------------------------------------ symmetric, during
@@ -151,11 +229,6 @@ def blim_sym_during(eps: float) -> float:
     return math.sqrt(poly) / (1.0 - 2.0 * eps) ** 3
 
 
-def blim_sym_during_second_order(eps: float) -> float:
-    _check_rate(eps)
-    return 1.0 - 6.0 * eps - 82.0 * eps * eps
-
-
 # ------------------------------------------------------------ asymmetric, after
 
 
@@ -186,49 +259,11 @@ def blim_asym_after(rates: ErrorRates) -> float:
     return bisect_root(_asym_after_gain_cubic(rates), lo, 1.0 + 1e-9)
 
 
-def _asym_after_second_order(s: float, d: float) -> float:
-    return 1.0 - s + d - 1.5 * s * s - 1.5 * d * d + 3.0 * d * s
-
-
-def blim_asym_after_second_order(rates: ErrorRates) -> float:
-    return _asym_after_second_order(rates.s, rates.d)
-
-
 # ----------------------------------------------------------- asymmetric, during
 
 
-@cache
-def _asym_during_weight_polynomials() -> tuple[RatePolynomial, ...]:
-    """c_0..c_3 as exact polynomials in the rates, derived on first use.
-
-    c_k sums the majority circuit's transfer table over the input states
-    with k ones; the circuit carries its 7 noise sites.
-    """
-    table = transfer_table(majority_circuit_toffoli())
-    return tuple(sum((q for x, q in enumerate(table) if x.bit_count() == k), RatePolynomial())
-                 for k in range(4))
-
-
 def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, float]:
-    return tuple(c(rates) for c in _asym_during_weight_polynomials())
-
-
-# The second-order form of the asym-during update, 1/2 * sum_k A_k(s, d) b^k,
-# with each A_k as {(i, j): coefficient of s^i d^j}. The update and the gain
-# cubic that `blim_asym_during` bisects both read this table.
-_ASYM_DURING_SECOND_ORDER = (
-    {(0, 1): 5.0, (0, 2): 4.0, (1, 1): -6.0},
-    {(0, 0): 3.0, (1, 0): -12.0, (2, 0): 19.0, (0, 2): -1.0, (1, 1): 4.0},
-    {(0, 1): 1.0, (0, 2): -4.0},
-    {(0, 0): -1.0, (1, 0): 6.0, (2, 0): -15.0, (0, 2): -1.0},
-)
-
-
-def _asym_during_second_order_update(rates: ErrorRates) -> Callable[[float], float]:
-    s, d = rates.s, rates.d
-    a0, a1, a2, a3 = (sum(c * s**i * d**j for (i, j), c in poly.items())
-                      for poly in _ASYM_DURING_SECOND_ORDER)
-    return lambda b: 0.5 * (a0 + a1 * b + a2 * b * b + a3 * b**3)
+    return tuple(c(rates) for c in _weight_polynomials(True))
 
 
 def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
@@ -240,7 +275,8 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
     input states with k ones. The c_k are exact polynomials in the rates,
     derived once per process; each call evaluates them at `rates` unless
     `weights` passes c_0..c_3 for these rates, as `make_model` does.
-    second_order: polynomial approximation, second order in s and d.
+    second_order: the exact update expanded to second order in s and d,
+    from the same c_k, in exact rationals once per process.
     """
     if not (-1.0 <= b <= 1.0):
         raise ValueError(f"bias must be in [-1, 1], got {b!r}")
@@ -252,37 +288,11 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
     if mode == "second_order":
         if weights is not None:
             raise ValueError("weights apply to exact mode only")
-        return _asym_during_second_order_update(rates)(b)
+        s, d = rates.s, rates.d
+        a0, a1, a2, a3 = (sum(c * s**i * d**j for c, i, j in terms)
+                          for terms in _second_order_forms(True)[0])
+        return a0 + a1 * b + a2 * b * b + a3 * b**3
     raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
-
-
-def _check_asym_during_rates(rates: ErrorRates) -> None:
-    s, d = rates.s, rates.d
-    if s > 0.08:
-        raise ValueError(f"during-model cubic is only valid for small s; got s={s} > 0.08")
-    if s > 0.04:
-        warnings.warn(f"during-model cubic is stated for s of at most about 0.04; s={s}",
-                      stacklevel=3)
-    if d < 0.0 or (d >= s and s > 0.0):
-        raise ValueError(f"analysis requires 0 <= d < s, got d={d}, s={s}")
-
-
-def blim_asym_during(rates: ErrorRates) -> float:
-    """Positive root of the second-order gain cubic, by bisection."""
-    _check_asym_during_rates(rates)
-    if rates.s == 0.0:
-        return 1.0
-    lo = 1e-9 if rates.d == 0.0 else 0.0
-    update = _asym_during_second_order_update(rates)
-    return bisect_root(lambda b: update(b) - b, lo, 1.2)
-
-
-def _asym_during_second_order(s: float, d: float) -> float:
-    return 1.0 - 3.0 * s + 3.0 * d - 11.5 * d * d - 20.5 * s * s + 32.0 * d * s
-
-
-def blim_asym_during_second_order(rates: ErrorRates) -> float:
-    return _asym_during_second_order(rates.s, rates.d)
 
 
 # ------------------------------------------------------------------ thresholds
@@ -375,14 +385,6 @@ class LimitReport:
         }
 
 
-_SECOND_ORDER: dict[str, Callable[[ErrorRates], float]] = {
-    SYM_AFTER: lambda r: blim_sym_after_second_order(r.eps0),
-    SYM_DURING: lambda r: blim_sym_during_second_order(r.eps0),
-    ASYM_AFTER: blim_asym_after_second_order,
-    ASYM_DURING: blim_asym_during_second_order,
-}
-
-
 def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) -> LimitReport:
     """Bias limit for a model, from generic bisection on its update map."""
     if isinstance(model, str):
@@ -391,7 +393,7 @@ def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) 
         model = make_model(model, rates)
     threshold, _ = THRESHOLDS[model.label]
     b_lim = attracting_limit(model.update)
-    second = _SECOND_ORDER[model.label](model.rates)
+    second = _second_order_limit(model.label, model.rates.s, model.rates.d)
     above = b_lim == 0.0
     return LimitReport(
         model=model.label,
@@ -414,12 +416,8 @@ def summary_table(eps: float, s: float, b_i: float) -> list[dict]:
     _check_rate(s, hi=1.0)
     if not (0.0 <= b_i <= 1.0):
         raise ValueError("bath bias must be in [0, 1]")
-    second = {
-        SYM_AFTER: blim_sym_after_second_order(eps),
-        SYM_DURING: blim_sym_during_second_order(eps),
-        ASYM_AFTER: _asym_after_second_order(s, s * b_i),
-        ASYM_DURING: _asym_during_second_order(s, s * b_i),
-    }
+    rates = {SYM_AFTER: (2.0 * eps, 0.0), SYM_DURING: (2.0 * eps, 0.0),
+             ASYM_AFTER: (s, s * b_i), ASYM_DURING: (s, s * b_i)}
     return [{"model": label, "threshold": value, "threshold_text": text,
-             "b_lim_second_order": second[label]}
+             "b_lim_second_order": _second_order_limit(label, *rates[label])}
             for label, (value, text) in THRESHOLDS.items()]

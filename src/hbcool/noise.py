@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .bias import ErrorRates, prob_from_bias
 from .circuits import Circuit
@@ -30,9 +30,6 @@ from .circuits import Circuit
 __all__ = [
     "RatePolynomial",
     "transfer_table",
-    "pattern_bits",
-    "pattern_index",
-    "symmetric_pattern_probability",
     "enumerate_noisy_output_bias",
     "optimal_permutation_bias",
     "best_bias_over_permutations",
@@ -40,26 +37,6 @@ __all__ = [
 ]
 
 MAX_TABLE_WIDTH = 10  # a transfer table has one row per input basis state
-
-
-def pattern_bits(index: int, n_sites: int) -> tuple[int, ...]:
-    """Error pattern (e_1, ..., e_n) for a pattern index; e_1 is the LSB."""
-    if not (0 <= index < (1 << n_sites)):
-        raise ValueError(f"pattern index {index} out of range for {n_sites} sites")
-    return tuple((index >> k) & 1 for k in range(n_sites))
-
-
-def pattern_index(bits: Sequence[int]) -> int:
-    """Inverse of pattern_bits: sum of e_k * 2^(k-1) over 1-based k."""
-    return sum(e << k for k, e in enumerate(bits))
-
-
-def symmetric_pattern_probability(bits: Sequence[int], eps: float) -> float:
-    """Probability of one error pattern when every site flips i.i.d. at rate eps."""
-    if not (0.0 <= eps < 0.5):
-        raise ValueError("need 0 <= eps < 1/2")
-    weight = sum(bits)
-    return eps**weight * (1.0 - eps) ** (len(bits) - weight)
 
 
 def _input_probabilities(width: int, input_bias) -> list[float]:

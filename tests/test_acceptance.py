@@ -19,15 +19,11 @@ from hbcool.cooling import (fibonacci_algorithm, heatbath_recursive,
                             random_hb_trace_check, run_with_noise, simple_recursive)
 from hbcool.distribution import product_distribution
 from hbcool import limits
-from hbcool.limits import (ASYM_AFTER, SYM_AFTER, blim_asym_after,
-                           blim_asym_after_second_order, blim_asym_during,
-                           blim_asym_during_second_order, blim_sym_after,
-                           blim_sym_after_second_order, blim_sym_during,
-                           blim_sym_during_second_order, newbias_asym_during,
-                           newbias_sym_during, threshold_sym_after,
-                           threshold_sym_during)
-from hbcool.noise import (brute_force_best_permutation_bias,
-                          enumerate_noisy_output_bias, pattern_bits)
+from hbcool.limits import (ASYM_AFTER, ASYM_DURING, SYM_AFTER, SYM_DURING,
+                           blim_asym_after, blim_sym_after, blim_sym_during,
+                           limit_report, newbias_asym_during, newbias_sym_during,
+                           threshold_sym_after, threshold_sym_during)
+from hbcool.noise import brute_force_best_permutation_bias, enumerate_noisy_output_bias
 
 BIAS_GRID = (0.1, 0.5, 0.9)
 EPS_GRID = (0.001, 0.01, 0.04)
@@ -109,16 +105,18 @@ def test_criterion_05_second_order_limit_quality():
     """Second-order limits track the exact ones at sub-1% rates."""
     for eps in (0.001, 0.005, 0.01):
         exact = blim_sym_after(eps)
-        assert abs(exact - blim_sym_after_second_order(eps)) / exact <= 1e-4
+        second = limit_report(SYM_AFTER, ErrorRates.symmetric(eps)).b_lim_second_order
+        assert abs(exact - second) / exact <= 1e-4
     for eps in (0.001, 0.005, 0.009):  # strictly below 1%: see notes there
         exact = blim_sym_during(eps)
-        assert abs(exact - blim_sym_during_second_order(eps)) / exact <= 1e-3
+        second = limit_report(SYM_DURING, ErrorRates.symmetric(eps)).b_lim_second_order
+        assert abs(exact - second) / exact <= 1e-3
     for s in (0.002, 0.008, 0.0132):  # both flip rates at or below 1%
         rates = ErrorRates.from_sd(s, s / 2)
         assert abs(blim_asym_after(rates)
-                   - blim_asym_after_second_order(rates)) <= 1e-5
-        assert abs(blim_asym_during(rates)
-                   - blim_asym_during_second_order(rates)) <= 1e-4
+                   - limit_report(ASYM_AFTER, rates).b_lim_second_order) <= 1e-5
+        report = limit_report(ASYM_DURING, rates)
+        assert abs(report.b_lim - report.b_lim_second_order) <= 1e-4
 
 
 def test_criterion_06_majority_is_the_optimal_permutation():
@@ -136,6 +134,20 @@ def test_criterion_07_sorted_bias_bound_fuzz():
     assert report["violations"] == 0
 
 
+def run_with_flips(circuit, x, flips):
+    """Run a circuit on basis state x with a NOT at every noise site whose flag
+    in `flips` (one 0/1 entry per site, in site order) is set."""
+    if len(flips) != len(circuit.noise_sites):
+        raise ValueError("one flip flag per noise site required")
+    for pos in range(len(circuit.gates) + 1):
+        if pos > 0:
+            x = circuit.gates[pos - 1].apply_to_state(x)
+        for flip, (site_pos, bit) in zip(flips, circuit.noise_sites):
+            if flip and site_pos == pos:
+                x ^= 1 << bit
+    return x
+
+
 def test_criterion_08_circuit_equivalences():
     """Both majority circuits, the cnot+cswap identity, and the error algebra."""
     toff, csw = majority_circuit_toffoli(), majority_circuit_cswap()
@@ -147,8 +159,8 @@ def test_criterion_08_circuit_equivalences():
     for a, b, c in product((0, 1), repeat=3):
         x = a | b << 1 | c << 2
         for pattern in range(128):
-            e = pattern_bits(pattern, 7)
-            simulated = toff.apply_to_state_with_flips(x, e) & 1
+            e = tuple((pattern >> k) & 1 for k in range(7))  # site 1 is the low bit
+            simulated = run_with_flips(toff, x, e) & 1
             algebraic = (a + e[0] + e[3] + e[6]
                          + (a + b + e[1] + e[4]) * (a + c + e[0] + e[2] + e[5])) % 2
             assert simulated == algebraic

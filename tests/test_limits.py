@@ -6,8 +6,8 @@ to the symmetric ones on the d = 0 slice.
 """
 
 import math
-import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,13 +24,8 @@ from hbcool.limits import (
     attracting_limit,
     bisect_root,
     blim_asym_after,
-    blim_asym_after_second_order,
-    blim_asym_during,
-    blim_asym_during_second_order,
     blim_sym_after,
-    blim_sym_after_second_order,
     blim_sym_during,
-    blim_sym_during_second_order,
     limit_report,
     make_model,
     newbias_asym_after,
@@ -46,6 +41,51 @@ BIAS_GRID = [0.1 * k for k in range(1, 10)]
 
 
 HALVED_DRIFT_FAMILY = [ErrorRates.from_sd(0.02 / 2**k, 0.01 / 2**k) for k in range(5)]
+HALVED_SYMMETRIC_FAMILY = [ErrorRates.symmetric(0.01 / 2**k) for k in range(5)]
+
+
+def second_order_residuals(label, family):
+    """|second-order limit - exact limit| along a family of rates."""
+    return [abs(report.b_lim_second_order - report.b_lim)
+            for report in (limit_report(label, rates) for rates in family)]
+
+
+def derived_update(during):
+    """The derived second-order update as {(m, i, j): coefficient of b^m s^i d^j}."""
+    terms = limits._second_order_forms(during)[0]
+    return {(m, i, j): Fraction(c) for m, poly in enumerate(terms) for c, i, j in poly}
+
+
+def interpolated_coefficients(f, grids):
+    """Exact monomial coefficients of the polynomial that interpolates f on the
+    tensor grid of dyadic nodes `grids`, one node list per argument.
+
+    f is called with floats and must return floats that are exact there, as
+    the closed forms are at few-bit dyadic points."""
+    bases = []
+    for nodes in grids:
+        basis = []
+        for k, xk in enumerate(nodes):
+            poly = [Fraction(1)]  # the Lagrange polynomial of node k, low degree first
+            for xm in nodes[:k] + nodes[k + 1:]:
+                shifted = [0] + poly
+                poly = [(shifted[e] - xm * (poly[e] if e < len(poly) else 0)) / (xk - xm)
+                        for e in range(len(shifted))]
+            basis.append(poly)
+        bases.append(basis)
+    out: dict = {}
+    indices = [range(len(nodes)) for nodes in grids]
+    for point in product(*indices):
+        value = Fraction(f(*(float(grids[v][k]) for v, k in enumerate(point))))
+        for exponents in product(*indices):
+            c = value
+            for basis, k, e in zip(bases, point, exponents):
+                c *= basis[k][e]
+            out[exponents] = out.get(exponents, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+B_NODES = [Fraction(k, 2) for k in range(-2, 3)]
 
 
 def poly_mul(p, q):
@@ -140,8 +180,19 @@ class TestSymmetricAfter:
     def test_second_order_quality(self):
         for eps in (0.001, 0.005, 0.01):
             exact = blim_sym_after(eps)
-            approx = blim_sym_after_second_order(eps)
+            approx = limit_report(SYM_AFTER, ErrorRates.symmetric(eps)).b_lim_second_order
             assert abs(exact - approx) / exact <= 1e-4  # within 0.01 percent
+
+    def test_second_order_limit_is_third_order_accurate(self):
+        residuals = second_order_residuals(SYM_AFTER, HALVED_SYMMETRIC_FAMILY)
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
+
+    def test_closed_form_is_the_after_circuit_update(self):
+        # on d = 0, s = 2e: the term b^m s^i carries 2^i e^i
+        want = {(m, i): c * 2**i for (m, i, j), c in derived_update(during=False).items()
+                if j == 0}
+        eps_nodes = [Fraction(k, 16) for k in range(3)]
+        assert interpolated_coefficients(newbias_sym_after, [B_NODES, eps_nodes]) == want
 
 
 class TestSymmetricDuring:
@@ -185,8 +236,12 @@ class TestSymmetricDuring:
         # marginally above 0.1 percent, so the grid stays strictly below
         for eps in (0.001, 0.005, 0.009):
             exact = blim_sym_during(eps)
-            approx = blim_sym_during_second_order(eps)
+            approx = limit_report(SYM_DURING, ErrorRates.symmetric(eps)).b_lim_second_order
             assert abs(exact - approx) / exact <= 1e-3
+
+    def test_second_order_limit_is_third_order_accurate(self):
+        residuals = second_order_residuals(SYM_DURING, HALVED_SYMMETRIC_FAMILY)
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
 
 
 class TestAsymmetricAfter:
@@ -228,8 +283,21 @@ class TestAsymmetricAfter:
     def test_second_order_quality_on_halved_drift_family(self):
         for s in (0.002, 0.008, 0.0132):  # both underlying rates below 1 percent
             rates = ErrorRates.from_sd(s, s / 2)
-            gap = abs(blim_asym_after(rates) - blim_asym_after_second_order(rates))
+            gap = abs(blim_asym_after(rates)
+                      - limit_report(ASYM_AFTER, rates).b_lim_second_order)
             assert gap <= 1e-5
+
+    def test_second_order_limit_is_third_order_accurate(self):
+        residuals = second_order_residuals(ASYM_AFTER, HALVED_DRIFT_FAMILY)
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
+
+    def test_closed_form_is_the_after_circuit_update(self):
+        s_nodes = [Fraction(k, 8) for k in range(1, 4)]
+        d_nodes = [Fraction(k, 32) for k in range(3)]
+        closed = interpolated_coefficients(
+            lambda b, s, d: newbias_asym_after(b, ErrorRates.from_sd(s, d)),
+            [B_NODES, s_nodes, d_nodes])
+        assert closed == derived_update(during=False)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -309,17 +377,14 @@ class TestAsymmetricDuring:
         assert 0.0 < report.b_lim < 1.0
         assert abs(run.final_bias - report.b_lim) <= 1e-6
 
-    def test_blim_frozen_value(self):
-        rates = ErrorRates.from_sd(0.02, 0.01)
-        got = blim_asym_during(rates)
-        assert got == pytest.approx(0.9673, abs=1e-3)  # near the second-order form
-        assert got == pytest.approx(0.9669316005495601, abs=1e-9)
-
     def test_second_order_quality_on_halved_drift_family(self):
         for s in (0.002, 0.008, 0.0132):
-            rates = ErrorRates.from_sd(s, s / 2)
-            gap = abs(blim_asym_during(rates) - blim_asym_during_second_order(rates))
-            assert gap <= 1e-4
+            report = limit_report(ASYM_DURING, ErrorRates.from_sd(s, s / 2))
+            assert abs(report.b_lim - report.b_lim_second_order) <= 1e-4
+
+    def test_second_order_limit_is_third_order_accurate(self):
+        residuals = second_order_residuals(ASYM_DURING, HALVED_DRIFT_FAMILY)
+        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
 
     @pytest.mark.parametrize("b", [-0.7, 0.3, 0.9])
     def test_second_order_update_is_third_order_accurate(self, b):
@@ -329,20 +394,14 @@ class TestAsymmetricDuring:
                      for rates in HALVED_DRIFT_FAMILY]
         assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
 
-    def test_second_order_limit_is_third_order_accurate(self):
-        residuals = [abs(blim_asym_during_second_order(rates)
-                         - limit_report(ASYM_DURING, rates).b_lim)
-                     for rates in HALVED_DRIFT_FAMILY]
-        assert all(r1 / r2 >= 7.0 for r1, r2 in zip(residuals, residuals[1:]))
-
     def test_second_order_coefficients_are_the_exact_taylor_coefficients(self):
         # expand the exact update, from the circuit's polynomials, in b, s and d
         exact = exact_asym_during_update()
-        for m, coefficients in enumerate(limits._ASYM_DURING_SECOND_ORDER):
+        derived = derived_update(during=True)
+        for m in range(4):
             for i in range(3):
                 for j in range(3 - i):
-                    want = exact.get((m, i, j), 0)
-                    assert Fraction(coefficients.get((i, j), 0.0)) / 2 == want, (m, i, j)
+                    assert derived.get((m, i, j), 0) == exact.get((m, i, j), 0), (m, i, j)
 
     def test_exact_update_is_the_symmetric_closed_form_at_zero_drift(self):
         # (b/2)(1-2e)^3 (3 - 6e + 4e^2 - b^2 (1-2e)^3), coefficient by coefficient in (b, e)
@@ -358,17 +417,32 @@ class TestAsymmetricDuring:
 
     def test_symmetric_slice_second_order_identity(self):
         eps = 0.005
-        got = blim_asym_during_second_order(ErrorRates.symmetric(eps))
+        got = limit_report(ASYM_DURING, ErrorRates.symmetric(eps)).b_lim_second_order
         assert got == pytest.approx(1 - 6 * eps - 82 * eps**2, abs=1e-15)
 
     def test_noiseless_limit_is_one(self):
-        assert blim_asym_during(ErrorRates.symmetric(0.0)) == 1.0
+        report = limit_report(ASYM_DURING, ErrorRates.symmetric(0.0))
+        assert report.b_lim == 1.0 and report.b_lim_second_order == 1.0
 
-    def test_validity_region_enforced(self):
-        with pytest.warns(UserWarning):
-            blim_asym_during(ErrorRates.from_sd(0.05, 0.01))
-        with pytest.raises(ValueError):
-            blim_asym_during(ErrorRates.from_sd(0.09, 0.01))
+
+class TestDerivedSecondOrderForms:
+    @pytest.mark.parametrize("during, want", [
+        (True, (-3, 3, Fraction(-41, 2), 32, Fraction(-23, 2))),
+        (False, (-1, 1, Fraction(-3, 2), 3, Fraction(-3, 2))),
+    ], ids=["during", "after"])
+    def test_limit_coefficients(self, during, want):
+        # coefficients of s, d, s^2, sd, d^2
+        assert tuple(Fraction(c) for c in limits._second_order_forms(during)[1]) == want
+
+    @pytest.mark.parametrize("label, want", [(SYM_AFTER, (-2, -6)), (SYM_DURING, (-6, -82))],
+                             ids=[SYM_AFTER, SYM_DURING])
+    def test_symmetric_slices(self, label, want):
+        a_s, _, a_ss, _, _ = limits._second_order_forms(label == SYM_DURING)[1]
+        assert (Fraction(2 * a_s), Fraction(4 * a_ss)) == want
+        # the slice evaluates bit for bit like 1 + a eps + c eps^2
+        for eps in (0.001, 0.0123, 0.03, 0.04):
+            got = limit_report(label, ErrorRates.symmetric(eps)).b_lim_second_order
+            assert got == 1.0 + want[0] * eps + want[1] * eps * eps
 
 
 class TestGenericLayer:
@@ -430,11 +504,9 @@ class TestGenericLayer:
         assert report.above_threshold and report.b_lim == 0.0
 
     def test_asym_reports_have_no_threshold(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for label in (ASYM_AFTER, ASYM_DURING):
-                report = limit_report(label, ErrorRates.from_sd(0.02, 0.01))
-                assert report.threshold is None
+        for label in (ASYM_AFTER, ASYM_DURING):
+            report = limit_report(label, ErrorRates.from_sd(0.02, 0.01))
+            assert report.threshold is None
 
 
 class TestSummaryTable:
@@ -459,7 +531,6 @@ class TestSummaryTable:
         rows = summary_table(eps=0.01, s=s, b_i=b_i)
         by_model = {r["model"]: r for r in rows}
         rates = ErrorRates.from_sd(s, s * b_i)
-        assert by_model[ASYM_AFTER]["b_lim_second_order"] == pytest.approx(
-            blim_asym_after_second_order(rates), abs=1e-15)
-        assert by_model[ASYM_DURING]["b_lim_second_order"] == pytest.approx(
-            blim_asym_during_second_order(rates), abs=1e-15)
+        for label in (ASYM_AFTER, ASYM_DURING):
+            assert by_model[label]["b_lim_second_order"] == pytest.approx(
+                limit_report(label, rates).b_lim_second_order, abs=1e-15)
