@@ -27,11 +27,16 @@ CASES = {
         "update --rule asym-during --bias 0.5 --s 0.02 --d 0.01 --order second",
     "thresholds_text": "thresholds --format text",
     "limits_sym_during": "limits --model sym-during --eps 0.01 --format json",
+    "limits_asym_during": "limits --model asym-during --s 0.02 --d 0.01",
     "table_csv": "table --eps 0.01 --s 0.02 --bi 0.5 --format csv",
     "efficiency_fibonacci": "efficiency --algorithm fibonacci --bi 1e-5 --target 0.1",
     "efficiency_heatbath": "efficiency --algorithm heatbath --bi 1e-5 --target 0.9999",
     "efficiency_simple_noisy": ("efficiency --algorithm simple --bi 1e-5 --target 1.0 "
                                 "--noise-model sym-after --eps 0.01"),
+    "efficiency_fibonacci_noisy": ("efficiency --algorithm fibonacci --bi 0.01 --target 0.99 "
+                                   "--noise-model asym-after --s 0.02 --d 0.01"),
+    "efficiency_simple_asym_during": ("efficiency --algorithm simple --bi 0.01 --target 0.99 "
+                                      "--noise-model asym-during --s 0.02 --d 0.01"),
     "efficiency_fibonacci_trace":
         "efficiency --algorithm fibonacci --bi 1e-5 --target 0.1 --trace",
     "efficiency_heatbath_trace":
