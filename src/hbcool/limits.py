@@ -12,6 +12,9 @@ Each model has an exact bias-update map, a largest attracting fixed
 point ("the bias limit": above it the step stops helping), and a
 second-order-in-rates approximation of that limit. Every exact root here
 is found by bracketed bisection; the closed forms exist as cross-checks.
+Update maps are pre-bound: one builder per model checks the rates once and
+computes their constants; its map checks only the bias. `make_model` and
+the `newbias_*` functions share the builders.
 
 The four models are two circuits, each at two rate slices. The during
 models run the Toffoli majority circuit with its 7 noise sites, the
@@ -33,11 +36,10 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Optional
 
-from .bias import ErrorRates, prob_from_bias, three_bc_bias
+# unused here, three_bc_bias and the enumerator are bound for the traced run's spans
+from .bias import ErrorRates, three_bc_bias  # noqa: F401
 from .circuits import Circuit, majority_circuit_toffoli
-from .noise import RatePolynomial, transfer_table
-# bound here so the benchmark's traced run can wrap it as hbcool.limits.<name>
-from .noise import enumerate_noisy_output_bias  # noqa: F401
+from .noise import RatePolynomial, enumerate_noisy_output_bias, transfer_table  # noqa: F401
 
 __all__ = [
     "SYM_AFTER", "SYM_DURING", "ASYM_AFTER", "ASYM_DURING", "MODEL_LABELS",
@@ -83,10 +85,14 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def _check_rate(eps: float, hi: float = 0.5) -> float:
-    if not (0.0 <= eps < hi):
-        raise ValueError(f"error rate must be in [0, {hi}), got {eps!r}")
+def _check_rate(eps: float) -> float:
+    if not (0.0 <= eps < 0.5):
+        raise ValueError(f"error rate must be in [0, 0.5), got {eps!r}")
     return float(eps)
+
+
+def _reject_bias(b: float, bounds: str) -> float:
+    raise ValueError(f"bias must be in [{bounds}], got {b!r}")
 
 
 # ------------------------------------------------- the two circuits' forms
@@ -172,10 +178,15 @@ def _second_order_limit(label: str, s: float, d: float) -> float:
 # ------------------------------------------------------------- symmetric, after
 
 
+def _sym_after_map(eps: float) -> Callable[[float], float]:
+    scale = 1.0 - 2.0 * _check_rate(eps)
+    return lambda b: ((1.5 * b - 0.5 * b * b * b) * scale if -1.0 <= b <= 1.0
+                      else _reject_bias(b, "-1.0, 1.0"))
+
+
 def newbias_sym_after(b: float, eps: float) -> float:
     """Majority step followed by one symmetric flip: ((3b - b^3)/2)(1 - 2 eps)."""
-    _check_rate(eps)
-    return three_bc_bias(b) * (1.0 - 2.0 * eps)
+    return _sym_after_map(eps)(b)
 
 
 def threshold_sym_after() -> float:
@@ -194,25 +205,24 @@ def blim_sym_after(eps: float) -> float:
 # ------------------------------------------------------------ symmetric, during
 
 
+def _sym_during_map(eps: float) -> Callable[[float], float]:
+    _check_rate(eps)
+    c, k = (1.0 - 2.0 * eps) ** 3, 3.0 - 6.0 * eps + 4.0 * eps * eps
+    return lambda b: (0.5 * b * c * (k - b * b * c) if -1.0 <= b <= 1.0
+                      else _reject_bias(b, "-1, 1"))
+
+
 def newbias_sym_during(b: float, eps: float) -> float:
     """Exact bias out of the majority circuit with a flip chance at each of
     the 7 relevant sites: (b/2)(1-2e)^3 (3 - 6e + 4e^2 - b^2 (1-2e)^3)."""
-    _check_rate(eps)
-    if not (-1.0 <= b <= 1.0):
-        raise ValueError(f"bias must be in [-1, 1], got {b!r}")
-    c = (1.0 - 2.0 * eps) ** 3
-    return 0.5 * b * c * (3.0 - 6.0 * eps + 4.0 * eps * eps - b * b * c)
-
-
-def _sym_during_zero_bias_gain(eps: float) -> float:
-    # improvement polynomial of newbias_sym_during at b -> 0
-    return -2.0 + (1.0 - 2.0 * eps) ** 3 * (3.0 - 6.0 * eps + 4.0 * eps * eps)
+    return _sym_during_map(eps)(b)
 
 
 @lru_cache(maxsize=1)
 def threshold_sym_during() -> float:
-    """Unique root in (0, 1/2) of the zero-bias gain polynomial, by bisection."""
-    return bisect_root(_sym_during_zero_bias_gain, 0.0, 0.49, tol=1e-12)
+    """Unique root in (0, 1/2) of newbias_sym_during's gain at b -> 0, by bisection."""
+    gain = lambda eps: -2.0 + (1.0 - 2.0 * eps) ** 3 * (3.0 - 6.0 * eps + 4.0 * eps * eps)
+    return bisect_root(gain, 0.0, 0.49, tol=1e-12)
 
 
 def blim_sym_during(eps: float) -> float:
@@ -232,14 +242,15 @@ def blim_sym_during(eps: float) -> float:
 # ------------------------------------------------------------ asymmetric, after
 
 
+def _asym_after_map(rates: ErrorRates) -> Callable[[float], float]:
+    scale, d = 1.0 - rates.s, rates.d
+    return lambda b: ((1.5 * b - 0.5 * b * b * b) * scale + d if -1.0 <= b <= 1.0
+                      else _reject_bias(b, "-1.0, 1.0"))
+
+
 def newbias_asym_after(b: float, rates: ErrorRates) -> float:
     """Majority step followed by one debias step: ((3b - b^3)/2)(1 - s) + d."""
-    return three_bc_bias(b) * (1.0 - rates.s) + rates.d
-
-
-def _asym_after_gain_cubic(rates: ErrorRates) -> Callable[[float], float]:
-    s, d = rates.s, rates.d
-    return lambda b: b**3 * (s - 1.0) + b * (1.0 - 3.0 * s) + 2.0 * d
+    return _asym_after_map(rates)(b)
 
 
 def blim_asym_after(rates: ErrorRates) -> float:
@@ -255,15 +266,22 @@ def blim_asym_after(rates: ErrorRates) -> float:
         raise ValueError(f"analysis requires 0 <= d < s, got d={d}, s={s}")
     if s == 0.0:
         return 1.0
-    lo = 1e-9 if d == 0.0 else 0.0
-    return bisect_root(_asym_after_gain_cubic(rates), lo, 1.0 + 1e-9)
+    gain = lambda b: b**3 * (s - 1.0) + b * (1.0 - 3.0 * s) + 2.0 * d
+    return bisect_root(gain, 1e-9 if d == 0.0 else 0.0, 1.0 + 1e-9)
 
 
 # ----------------------------------------------------------- asymmetric, during
 
 
-def _asym_during_weight_sums(rates: ErrorRates) -> tuple[float, float, float, float]:
-    return tuple(c(rates) for c in _weight_polynomials(True))
+def _asym_during_map(rates: ErrorRates, weights=None) -> Callable[[float], float]:
+    c0, c1, c2, c3 = weights or [c(rates) for c in _weight_polynomials(True)]
+    def update(b: float) -> float:
+        if not (-1.0 <= b <= 1.0):
+            _reject_bias(b, "-1, 1")
+        p = (1.0 + b) / 2.0
+        q = 1.0 - p
+        return 2.0 * (c0 * p**3 + c1 * p * p * q + c2 * p * q * q + c3 * q**3) - 1.0
+    return update
 
 
 def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
@@ -274,17 +292,14 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact",
     p = (1 + b)/2, where c_k sums the circuit's transfer table over the
     input states with k ones. The c_k are exact polynomials in the rates,
     derived once per process; each call evaluates them at `rates` unless
-    `weights` passes c_0..c_3 for these rates, as `make_model` does.
+    `weights` passes c_0..c_3 for these rates.
     second_order: the exact update expanded to second order in s and d,
     from the same c_k, in exact rationals once per process.
     """
     if not (-1.0 <= b <= 1.0):
-        raise ValueError(f"bias must be in [-1, 1], got {b!r}")
+        _reject_bias(b, "-1, 1")
     if mode == "exact":
-        p = prob_from_bias(b)
-        q = 1.0 - p
-        c = weights if weights is not None else _asym_during_weight_sums(rates)
-        return 2.0 * (c[0] * p**3 + c[1] * p * p * q + c[2] * p * q * q + c[3] * q**3) - 1.0
+        return _asym_during_map(rates, weights)(b)
     if mode == "second_order":
         if weights is not None:
             raise ValueError("weights apply to exact mode only")
@@ -320,25 +335,19 @@ class BiasUpdateModel:
 
 
 def make_model(label: str, rates: ErrorRates) -> BiasUpdateModel:
-    """Bind a model label to its exact update map.
+    """Bind a model label to its exact update map, pre-bound to the rates.
 
-    Symmetric labels require a symmetric channel (d = 0). asym-during
-    evaluates its weight polynomials at the rates here, once per model.
+    Symmetric labels require a symmetric channel (d = 0). The rates are checked and
+    the constants (asym-during: the c_k) computed here, once; the map gives newbias_*'s bits.
     """
     if label not in MODEL_LABELS:
         raise ValueError(f"unknown model {label!r}; expected one of {MODEL_LABELS}")
-    if label in (SYM_AFTER, SYM_DURING) and rates.d != 0.0:
-        raise ValueError(f"{label} requires a symmetric channel (eps0 == eps1)")
-    eps = rates.eps0
-    if label == ASYM_DURING:
-        weights = _asym_during_weight_sums(rates)
-        update = lambda b: newbias_asym_during(b, rates, mode="exact", weights=weights)
+    if label in (SYM_AFTER, SYM_DURING):
+        if rates.d != 0.0:
+            raise ValueError(f"{label} requires a symmetric channel (eps0 == eps1)")
+        update = (_sym_after_map if label == SYM_AFTER else _sym_during_map)(rates.eps0)
     else:
-        update = {
-            SYM_AFTER: lambda b: newbias_sym_after(b, eps),
-            SYM_DURING: lambda b: newbias_sym_during(b, eps),
-            ASYM_AFTER: lambda b: newbias_asym_after(b, rates),
-        }[label]
+        update = (_asym_after_map if label == ASYM_AFTER else _asym_during_map)(rates)
     return BiasUpdateModel(label, rates, update)
 
 
@@ -360,7 +369,9 @@ def attracting_limit(update: Callable[[float], float], probe: float = 1e-9,
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Threshold and bias-limit summary for one model at given rates."""
+    """Threshold and bias-limit summary for one model at given rates;
+    b_lim_second_order, b_lim's small-rate expansion, can leave [0, 1]
+    (-0.42 at sym-during, eps = 0.1, where b_lim is 0)."""
 
     model: str
     rates: ErrorRates
@@ -410,12 +421,12 @@ def summary_table(eps: float, s: float, b_i: float) -> list[dict]:
     """The four-model summary: thresholds and second-order bias limits.
 
     Symmetric rows are evaluated at the flip rate eps; asymmetric rows at
-    relaxation speed s with bath bias b_i (so d = s * b_i).
+    relaxation speed s with bath bias b_i (d = s * b_i, a channel's rates).
     """
     _check_rate(eps)
-    _check_rate(s, hi=1.0)
     if not (0.0 <= b_i <= 1.0):
         raise ValueError("bath bias must be in [0, 1]")
+    ErrorRates.from_sd(s, s * b_i)
     rates = {SYM_AFTER: (2.0 * eps, 0.0), SYM_DURING: (2.0 * eps, 0.0),
              ASYM_AFTER: (s, s * b_i), ASYM_DURING: (s, s * b_i)}
     return [{"model": label, "threshold": value, "threshold_text": text,

@@ -56,6 +56,13 @@ IGNORED_UPDATE_FLAGS = [
 
 
 class TestUpdate:
+    @pytest.mark.parametrize("rule, bounds", [("sym-after", "-1.0, 1.0"),
+                                              ("sym-during", "-1, 1")])
+    def test_out_of_range_bias_error_bytes(self, capsys, rule, bounds):
+        code, out = run_cli(capsys, "update", "--rule", rule, "--bias", "1.5", "--eps", "0.01")
+        assert code == 1
+        assert out == f'{{"error": "bias must be in [{bounds}], got 1.5"}}\n'
+
     def test_three_bc(self, capsys):
         rec = run_json(capsys, "update", "--rule", "three-bc", "--bias", "0.5")
         assert rec["result"] == 0.6875
@@ -182,6 +189,14 @@ class TestTable:
         assert by_model["sym-during"]["b_lim_second_order"] == pytest.approx(0.9318)
         assert by_model["asym-after"]["b_lim_second_order"] == pytest.approx(0.98985)
         assert by_model["asym-during"]["b_lim_second_order"] == pytest.approx(0.96705)
+
+    def test_rates_without_a_channel_are_an_error(self, capsys):
+        # d = s * b_i = 0.45 puts eps1 at 0.675; limits rejects the same rates
+        code, out = run_cli(capsys, "table", "--eps", "0.01", "--s", "0.9", "--bi", "0.5")
+        assert code == 1
+        assert out == '{"error": "eps1 must be in [0, 1/2), got 0.675"}\n'
+        assert run_cli(capsys, "limits", "--model", "asym-after", "--s", "0.9",
+                       "--d", "0.45") == (1, out)
 
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "table", "--format", "text")

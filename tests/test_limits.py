@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from hbcool import limits, noise
-from hbcool.bias import ErrorRates, three_bc_bias
+from hbcool.bias import ErrorRates, debias_step, prob_from_bias, three_bc_bias
 from hbcool.circuits import Circuit, majority_circuit_toffoli
 from hbcool.cooling import run_with_noise
 from hbcool.limits import (
@@ -509,7 +509,82 @@ class TestGenericLayer:
             assert report.threshold is None
 
 
+# Rates on which every pre-bound map is checked bit for bit, as (s, d) pairs;
+# the symmetric models use eps = s / 2 and ignore d.
+MAP_RATES = [(0.0, 0.0), (2e-4, 1e-4), (0.02, 0.01), (0.02, 0.0), (0.1, 0.09),
+             (0.3, 0.25), (0.6, 0.3)]
+MAP_BIASES = [0.0, 1e-9, 1e-3, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0, -0.4, -1.0,
+              *(k / 97 - 0.5 for k in range(0, 97, 7))]
+
+
+def _composed_update(label: str, rates: ErrorRates, b: float) -> float:
+    """The update as its formula's parts composed, each call checking its inputs."""
+    eps = rates.eps0
+    if label == SYM_AFTER:
+        return three_bc_bias(b) * (1.0 - 2.0 * eps)
+    if label == SYM_DURING:
+        c = (1.0 - 2.0 * eps) ** 3
+        return 0.5 * b * c * (3.0 - 6.0 * eps + 4.0 * eps * eps - b * b * c)
+    if label == ASYM_AFTER:
+        return debias_step(three_bc_bias(b), rates)
+    p = prob_from_bias(b)
+    q = 1.0 - p
+    c = [w(rates) for w in limits._weight_polynomials(True)]
+    return 2.0 * (c[0] * p**3 + c[1] * p * p * q + c[2] * p * q * q + c[3] * q**3) - 1.0
+
+
+def _public_update(label: str, rates: ErrorRates, b: float) -> float:
+    if label == SYM_AFTER:
+        return newbias_sym_after(b, rates.eps0)
+    if label == SYM_DURING:
+        return newbias_sym_during(b, rates.eps0)
+    if label == ASYM_AFTER:
+        return newbias_asym_after(b, rates)
+    return newbias_asym_during(b, rates)
+
+
+def _model_rates(label: str, s: float, d: float) -> ErrorRates:
+    if label in (SYM_AFTER, SYM_DURING):
+        return ErrorRates.symmetric(s / 2)
+    return ErrorRates.from_sd(s, d)
+
+
+class TestPreBoundMaps:
+    @pytest.mark.parametrize("label", MODEL_LABELS)
+    @pytest.mark.parametrize("s, d", MAP_RATES)
+    def test_model_map_equals_public_update_and_composition(self, label, s, d):
+        rates = _model_rates(label, s, d)
+        update = make_model(label, rates).update
+        for b in MAP_BIASES:
+            got = update(b)
+            assert got == _public_update(label, rates, b), (label, b)  # bit for bit
+            assert got == _composed_update(label, rates, b), (label, b)
+
+    @pytest.mark.parametrize("label", MODEL_LABELS)
+    @pytest.mark.parametrize("b", [1.5, -1.0000000000000002, float("nan")])
+    def test_out_of_range_bias_keeps_its_message(self, label, b):
+        bounds = "-1.0, 1.0" if label in (SYM_AFTER, ASYM_AFTER) else "-1, 1"
+        message = f"bias must be in [{bounds}], got {b!r}"
+        rates = _model_rates(label, 0.02, 0.01)
+        for call in (make_model(label, rates).update, lambda b: _public_update(label, rates, b)):
+            with pytest.raises(ValueError) as info:
+                call(b)
+            assert str(info.value) == message
+
+    def test_sym_public_updates_check_the_rate_first(self):
+        for newbias in (newbias_sym_after, newbias_sym_during):
+            with pytest.raises(ValueError, match=r"error rate must be in \[0, 0.5\), got 0.6"):
+                newbias(1.5, 0.6)
+
+
 class TestSummaryTable:
+    def test_rows_need_a_channel(self):
+        # s = 0.9 with b_i = 0.5 asks for eps1 = 0.675, which no channel has
+        with pytest.raises(ValueError, match=r"eps1 must be in \[0, 1/2\), got 0.675"):
+            summary_table(eps=0.01, s=0.9, b_i=0.5)
+        with pytest.raises(ValueError, match="eps0 must be in"):
+            summary_table(eps=0.01, s=1.0, b_i=0.0)
+
     def test_rows(self):
         rows = summary_table(eps=0.01, s=0.02, b_i=0.5)
         assert [r["model"] for r in rows] == list(MODEL_LABELS)
