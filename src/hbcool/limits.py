@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 # unused here, three_bc_bias and the enumerator are bound for the traced run's spans
 from .bias import ErrorRates, three_bc_bias  # noqa: F401
@@ -91,7 +91,7 @@ def _check_rate(eps: float) -> float:
     return float(eps)
 
 
-def _reject_bias(b: float, bounds: str) -> float:
+def _reject_bias(b: float, bounds: str) -> NoReturn:
     raise ValueError(f"bias must be in [{bounds}], got {b!r}")
 
 

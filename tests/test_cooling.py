@@ -235,24 +235,23 @@ class TestFibonacciAlgorithm:
                                model=SYM_AFTER, tol=tol)
 
 
-def _fibonacci_reference(b_i, b_t, step, next_bias=None, tol=1e-12):
-    """The Fibonacci schedule as a plain settle loop over the composed step;
-    returns the bias sequence and the steps taken. With next_bias, a bit's
-    bias is next_bias(older, newer) rather than its settled value."""
+def _noisy_fibonacci_reference(b_i, b_t, rates, tol=1e-12):
+    """The noisy Fibonacci schedule as a plain settle loop over the composed
+    step; returns the bias sequence and the steps taken."""
     sequence, steps = [b_i, b_i], 0
     while sequence[-1] < b_t:
         older, newer = sequence[-2], sequence[-1]
         x = b_i
         while True:
             steps += 1
-            nx = step(older, newer, x)
+            nx = debias_step(three_bc_bias_unequal(older, newer, x), rates)
             if abs(nx - x) < tol:
                 break
             x = nx
         x = max(x, nx)
-        if next_bias is None and x - newer <= tol * newer:
+        if x - newer <= tol * newer:
             break
-        sequence.append(x if next_bias is None else next_bias(older, newer))
+        sequence.append(x)
     return sequence, steps
 
 
@@ -361,23 +360,13 @@ class TestRunWithNoise:
                                            (0.3, 0.2, 0.1), (0.05, 0.04, 0.035)])
     def test_fibonacci_equals_the_composed_settle_loop(self, b_i, s, d):
         rates = ErrorRates.from_sd(s, d)
-        sequence, steps = _fibonacci_reference(
-            b_i, 0.999, lambda older, newer, x: debias_step(
-                three_bc_bias_unequal(older, newer, x), rates))
+        sequence, steps = _noisy_fibonacci_reference(b_i, 0.999, rates)
         result = run_with_noise("fibonacci", b_i, 0.999, rates, model=ASYM_AFTER)
         assert result.stats["sequence"] == sequence  # bit for bit
         assert result.final_bias == sequence[-1]
         assert result.ledger.as_dict() == {
             "bits_consumed": len(sequence), "three_bc_ops": steps,
             "heat_bath_contacts": 2 * steps, "recursion_depth": len(sequence)}
-
-    @pytest.mark.parametrize("b_i", [1e-5, 0.01, 0.3])
-    def test_noiseless_fibonacci_counts_the_composed_settle_loop(self, b_i):
-        result = fibonacci_algorithm(b_i, 0.999)
-        sequence, steps = _fibonacci_reference(b_i, 0.999, three_bc_bias_unequal,
-                                               next_bias=steady_state_bias)
-        assert result.stats["sequence"] == sequence
-        assert result.ledger.three_bc_ops == steps
 
     def test_fibonacci_rejects_during_models(self):
         with pytest.raises(ValueError):
