@@ -357,8 +357,6 @@ class TestAsymmetricDuring:
         update = make_model(ASYM_DURING, rates).update
         for b in (-1.0, -0.5, 0.0, 0.3, 1.0):
             assert update(b) == newbias_asym_during(b, rates, mode="exact")
-        with pytest.raises(ValueError, match="exact mode only"):
-            newbias_asym_during(0.5, rates, mode="second_order", weights=(1.0, 1.0, 0.0, 0.0))
 
     def test_exact_mode_bias_range_enforced(self):
         with pytest.raises(ValueError):
