@@ -278,20 +278,24 @@ def _parse_gate(tokens: list[str]) -> Gate:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse the line format; width is the highest referenced index plus one."""
+    """Parse the line format; width is the highest referenced index plus one.
+    A ValueError from a bad line names its 1-based line number."""
     gates: list[Gate] = []
     sites: list[tuple[int, int]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0].upper() == "NOISE":
-            if len(tokens) != 3:
-                raise ValueError(f"NOISE expects `pos bit`, got {line!r}")
-            sites.append((int(tokens[1]), int(tokens[2])))
-        else:
-            gates.append(_parse_gate(tokens))
+        try:
+            if tokens[0].upper() == "NOISE":
+                if len(tokens) != 3:
+                    raise ValueError(f"NOISE expects `pos bit`, got {line!r}")
+                sites.append((int(tokens[1]), int(tokens[2])))
+            else:
+                gates.append(_parse_gate(tokens))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
     if not gates and not sites:
         raise ValueError("empty circuit description")
     width = 1 + max([g.max_index for g in gates] + [bit for _, bit in sites])

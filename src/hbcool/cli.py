@@ -280,6 +280,11 @@ def _cmd_simulate(args) -> tuple[object, str]:
         raise ValueError("give --state, --bias, or --biases")
 
     rates = _parse_rates(args, required=False)
+    if args.postselect is not None:
+        try:
+            post_bit, post_value = (int(part) for part in args.postselect.split("="))
+        except ValueError:
+            raise ValueError(f"postselect must be BIT=VALUE, got {args.postselect!r}") from None
     output_bit = 0 if args.output_bit is None else args.output_bit
     record = {"width": circuit.width, "biases": biases, "output_bit": output_bit}
     if rates is not None:
@@ -290,8 +295,7 @@ def _cmd_simulate(args) -> tuple[object, str]:
     else:
         dist = circuit.run(product_distribution(biases))
     if args.postselect is not None:
-        bit_txt, val_txt = args.postselect.split("=", 1)
-        dist, prob = dist.condition_on(int(bit_txt), int(val_txt))
+        dist, prob = dist.condition_on(post_bit, post_value)
         record["postselect"] = args.postselect
         record["accept_prob"] = prob
     record["output_bias"] = dist.marginal_bias(output_bit)

@@ -26,6 +26,7 @@ otherwise, so at most 3m + floor(3m/2) transpositions, O(m^2) pulses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .circuits import Gate, _parse_gate, _format_gate, majority_circuit_toffoli, swap
@@ -217,20 +218,38 @@ def pulse_program_to_text(ops: Iterable[PrimitiveOp]) -> str:
 
 
 def pulse_program_from_text(text: str) -> list[PrimitiveOp]:
+    """Parse one primitive per line; a ValueError names its 1-based line."""
     ops: list[PrimitiveOp] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] in _LAYERS:
-            if len(tokens) != 1:
-                raise ValueError(f"swap layer takes no arguments: {line!r}")
-            ops.append(_LAYER_OPS[tokens[0]])
-        elif tokens[0] == "HEAD":
-            if len(tokens) < 2:
-                raise ValueError(f"HEAD line needs a gate: {line!r}")
-            ops.append(head_gate_op(_parse_gate(tokens[1:])))
-        else:
-            raise ValueError(f"unknown primitive {tokens[0]!r}")
+    for number, raw in enumerate(text.splitlines(), 1):
+        try:
+            op = _parse_line(raw)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
+        if op is not None:
+            ops.append(op)
     return ops
+
+
+# A program has fewer than ten distinct lines (three layers and a few head
+# gates), so every copy of a line shares one frozen op; the bound keeps a
+# long-running process that parses arbitrary files from growing without end.
+_LINE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LINE_CACHE_SIZE)
+def _parse_line(raw: str) -> PrimitiveOp | None:
+    """The op on one line, or None for a blank or comment-only line. A bad
+    line raises on every call: lru_cache does not cache exceptions."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    tokens = line.split()
+    if tokens[0] in _LAYERS:
+        if len(tokens) != 1:
+            raise ValueError(f"swap layer takes no arguments: {line!r}")
+        return _LAYER_OPS[tokens[0]]
+    if tokens[0] == "HEAD":
+        if len(tokens) < 2:
+            raise ValueError(f"HEAD line needs a gate: {line!r}")
+        return head_gate_op(_parse_gate(tokens[1:]))
+    raise ValueError(f"unknown primitive {tokens[0]!r}")

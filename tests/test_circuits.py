@@ -213,6 +213,10 @@ class TestSerialization:
             circuit_from_text("CNOT 0 1")  # control missing its value
         with pytest.raises(ValueError):
             circuit_from_text("")
+        with pytest.raises(ValueError, match="^line 3: unknown gate 'FROB'$"):
+            circuit_from_text("NOT 0\n\nFROB 0 1  # typo")
+        with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
+            circuit_from_text("NOT 0\nNOISE 1 x\n")
 
     def test_gate_construction_errors(self):
         with pytest.raises(ValueError):

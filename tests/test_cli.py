@@ -396,6 +396,20 @@ class TestSimulate:
         assert code == 1
         assert "bit value must be 0 or 1" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("post", ["1", "a=0", "0=1=1"])
+    def test_malformed_postselect_named(self, capsys, post):
+        code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
+                            "--bias", "0.5", "--postselect", post)
+        assert code == 1
+        assert json.loads(out) == {"error": f"postselect must be BIT=VALUE, got {post!r}"}
+
+    def test_circuit_parse_error_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# two gates\nCNOT 1 0:1\nNOISE 1\n")
+        code, out = run_cli(capsys, "simulate", "--circuit", str(path), "--bias", "0.5")
+        assert code == 1
+        assert json.loads(out) == {"error": "line 3: NOISE expects `pos bit`, got 'NOISE 1'"}
+
     @pytest.mark.parametrize("extra", [
         ("--bias", "0.3"), ("--biases", "0.1,0.2,0.3"), ("--postselect", "1=0"),
         ("--eps", "0.1"), ("--eps0", "0.1", "--eps1", "0.2"), ("--s", "0.1", "--d", "0"),
@@ -469,6 +483,14 @@ class TestTape:
         replay = run_json(capsys, "tape", "--m", "3", "--bits", "000110000",
                           "--action", "replay", "--program", str(program))
         assert replay["bits_out"] == rec["bits_out"]
+
+    def test_replay_parse_error_names_its_line(self, capsys, tmp_path):
+        program = tmp_path / "pulses.txt"
+        program.write_text("SWAP_AB\nHEAD CNOT 3 0:1\n")
+        code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",
+                            "--action", "replay", "--program", str(program))
+        assert code == 1
+        assert json.loads(out) == {"error": "line 2: head gates act on local cells 0..2 only"}
 
     def test_permute(self, capsys):
         perm = ",".join(str((i + 3) % 9) for i in range(9))

@@ -5,7 +5,8 @@ from itertools import permutations, product
 
 import pytest
 
-from hbcool.circuits import cnot, majority_circuit_toffoli, swap, toffoli
+from hbcool import tape
+from hbcool.circuits import _parse_gate, cnot, majority_circuit_toffoli, swap, toffoli
 from hbcool.tape import (
     SPECIES,
     ChainLoop,
@@ -298,11 +299,41 @@ class TestPrimitives:
 
 class TestPulsePrograms:
     def test_round_trip(self):
-        loop = ChainLoop(5, (0,) * 15)
-        ops, _ = compile_cooling_step(loop, (6, 7, 8))
-        text = pulse_program_to_text(ops)
-        parsed = pulse_program_from_text(text)
-        assert parsed == ops
+        rng = random.Random(5)
+        for m, positions in ((3, (4, 7, 1)), (5, (6, 7, 8)), (9, (0, 13, 26)), (21, (62, 5, 30))):
+            loop = ChainLoop(m, tuple(rng.randint(0, 1) for _ in range(3 * m)))
+            ops, _ = compile_cooling_step(loop, positions)
+            text = pulse_program_to_text(ops)
+            parsed = pulse_program_from_text(text)
+            assert parsed == ops
+            # every copy of a line is one shared op
+            assert len({id(op) for op in parsed}) == len(set(text.splitlines()))
+
+    def test_repeated_line_parses_once(self, monkeypatch):
+        calls = []
+
+        def counting_parse_gate(tokens):
+            calls.append(tokens)
+            return _parse_gate(tokens)
+
+        monkeypatch.setattr(tape, "_parse_gate", counting_parse_gate)
+        tape._parse_line.cache_clear()
+        ops = pulse_program_from_text("HEAD TOFFOLI 2 0:0 1:0\nSWAP_BC\n" * 50)
+        assert len(ops) == 100
+        assert calls == [["TOFFOLI", "2", "0:0", "1:0"]]
+
+    def test_bad_line_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^line 2: unknown primitive 'WIGGLE'$"):
+                pulse_program_from_text("SWAP_AB\nWIGGLE\n")
+
+    def test_whitespace_and_comments_do_not_change_the_op(self):
+        variants = ["HEAD CNOT 1 0:1", "  HEAD   CNOT 1\t0:1  ", "HEAD CNOT 1 0:1 # route",
+                    "\tHEAD CNOT 1 0:1#"]
+        parsed = [pulse_program_from_text(line) for line in variants]
+        assert all(ops == [head_gate_op(cnot(0, 1))] for ops in parsed)
+        assert pulse_program_from_text("# comment only\n\n   \nSWAP_AC # x") == [
+            PrimitiveOp("SWAP_AC")]
 
     def test_replay_equivalence(self):
         rng = random.Random(2)
@@ -325,6 +356,8 @@ class TestPulsePrograms:
             pulse_program_from_text("SWAP_AB 3")
         with pytest.raises(ValueError):
             pulse_program_from_text("HEAD")
+        with pytest.raises(ValueError, match="^line 3: head gates act on local cells 0..2 only$"):
+            pulse_program_from_text("SWAP_AB\n# gate\nHEAD CNOT 3 0:1\n")
 
 
 def reference_execute(loop, ops):
