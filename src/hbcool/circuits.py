@@ -281,7 +281,7 @@ def circuit_from_text(text: str) -> Circuit:
     """Parse the line format; width is the highest referenced index plus one.
     A ValueError from a bad line names its 1-based line number."""
     gates: list[Gate] = []
-    sites: list[tuple[int, int]] = []
+    sites: list[tuple[int, int, int]] = []  # (pos, bit, line number)
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -291,12 +291,18 @@ def circuit_from_text(text: str) -> Circuit:
             if tokens[0].upper() == "NOISE":
                 if len(tokens) != 3:
                     raise ValueError(f"NOISE expects `pos bit`, got {line!r}")
-                sites.append((int(tokens[1]), int(tokens[2])))
+                sites.append((int(tokens[1]), index := int(tokens[2]), number))
             else:
                 gates.append(_parse_gate(tokens))
+                index = gates[-1].max_index
+            if not 0 <= index < MAX_WIDTH:
+                raise ValueError(f"index {index} out of range 0..{MAX_WIDTH - 1}")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from exc
     if not gates and not sites:
         raise ValueError("empty circuit description")
-    width = 1 + max([g.max_index for g in gates] + [bit for _, bit in sites])
-    return Circuit(width, tuple(gates), tuple(sites))
+    for pos, _, number in sites:  # a position is bounded by the gate count of the whole text
+        if not 0 <= pos <= len(gates):
+            raise ValueError(f"line {number}: noise position {pos} out of range")
+    width = 1 + max([g.max_index for g in gates] + [bit for _, bit, _ in sites])
+    return Circuit(width, tuple(gates), tuple((pos, bit) for pos, bit, _ in sites))

@@ -10,7 +10,9 @@ gates; everything else moves only through species-parallel swap layers:
     SWAP_AC   swaps every (C_t, A_{t+1}) pair (wraps around the loop)
 
 Composing four layers gives a "shift" that keeps one species fixed and
-moves the other two one triple in opposite directions. Pulse counts are
+moves the other two one triple in opposite directions. `execute` runs a
+layer as a masked xor swap on an int of all cells (plus the wrap pair for
+SWAP_AC) and a head gate by its op's table of xor masks. Pulse counts are
 the number of primitives issued. All routing goes through one primitive,
 the head transposition W + [head swap] + reversed W, which exchanges any
 cell with a head cell; W keeps that head cell and carries the other cell
@@ -25,7 +27,7 @@ otherwise, so at most 3m + floor(3m/2) transpositions, O(m^2) pulses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -58,12 +60,12 @@ class ChainLoop:
     head: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
         if self.m < 1 or self.m % 2 == 0:
             raise ValueError(f"need an odd number of triples, got m={self.m}")
         if len(self.bits) != 3 * self.m:
             raise ValueError(f"need {3 * self.m} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("cell values must be bits")
         if not (0 <= self.head < self.m):
             raise ValueError(f"head triple {self.head} out of range")
@@ -81,10 +83,12 @@ class ChainLoop:
 
 @dataclass(frozen=True)
 class PrimitiveOp:
-    """One pulse: a species-parallel swap layer, or a gate at the head."""
+    """One pulse: a swap layer, or a head gate with its xor mask `flips[x]` at head state x."""
 
     kind: str  # one of _LAYERS, or "HEAD"
     gate: Gate | None = None
+    text: str = field(init=False, repr=False, compare=False)  # its pulse-program line
+    flips: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind in _LAYERS:
@@ -97,9 +101,15 @@ class PrimitiveOp:
                 raise ValueError("head gates act on local cells 0..2 only")
         else:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
+        g = self.gate
+        object.__setattr__(self, "text", f"HEAD {_format_gate(g)}" if g else self.kind)
+        object.__setattr__(self, "flips", g and tuple(x ^ g.apply_to_state(x) for x in range(8)))
 
 
+# Compiled programs share these ops; a head swap is keyed by its cells' sum.
 _LAYER_OPS = {layer: PrimitiveOp(layer) for layer in _LAYERS}
+_HEAD_SWAPS = {a + b: PrimitiveOp("HEAD", swap(a, b)) for a, b in ((0, 1), (0, 2), (1, 2))}
+_MAJORITY_OPS = tuple(PrimitiveOp("HEAD", g) for g in majority_circuit_toffoli().gates)
 
 
 def head_gate_op(gate: Gate) -> PrimitiveOp:
@@ -107,26 +117,20 @@ def head_gate_op(gate: Gate) -> PrimitiveOp:
 
 
 def execute(loop: ChainLoop, ops: Iterable[PrimitiveOp]) -> ChainLoop:
-    """Run a pulse program on one int holding every cell (bit i = cell i).
-
-    A layer is a masked xor-swap of neighbouring bits; SWAP_AC runs it
-    between a rotate by two cells and the rotate back.
-    """
+    """Run a pulse program on one int holding every cell (bit i = cell i):
+    a layer xor-swaps masked bit pairs, a HEAD op xors in its `flips` entry."""
     n, low = loop.n_cells, 3 * loop.head
-    full = (1 << n) - 1
-    masks = {"SWAP_AB": full // 7, "SWAP_BC": full // 7 << 1, "SWAP_AC": full // 7}
+    a_cells = ((1 << n) - 1) // 7
+    masks = {"SWAP_AB": a_cells, "SWAP_BC": a_cells << 1, "SWAP_AC": a_cells >> 3 << 2}
     state = int("".join(map(str, reversed(loop.bits))), 2)
     for op in ops:
         if op.kind == "HEAD":
-            local = (state >> low) & 7
-            state ^= (local ^ op.gate.apply_to_state(local)) << low
+            state ^= op.flips[(state >> low) & 7] << low
             continue
-        if op.kind == "SWAP_AC":  # cell i + 2 -> bit i
-            state = (state >> 2) | ((state & 3) << (n - 2))
         x = (state ^ (state >> 1)) & masks[op.kind]
         state ^= x | (x << 1)
-        if op.kind == "SWAP_AC":
-            state = ((state << 2) & full) | (state >> (n - 2))
+        if op.kind == "SWAP_AC" and (state ^ (state >> n - 1)) & 1:  # wrap pair (n - 1, 0)
+            state ^= 1 | 1 << n - 1
     return loop.with_bits([(state >> i) & 1 for i in range(n)])
 
 
@@ -147,11 +151,11 @@ def _head_transposition_ops(m: int, head: int, cell: int, species: int) -> list[
     if t != head:
         if s == species:
             layer, s = _MASKED[s]
-            carry += [_LAYER_OPS[layer], head_gate_op(swap(*sorted((s, species))))]
+            carry += [_LAYER_OPS[layer], _HEAD_SWAPS[s + species]]
         steps = (head - t) % m  # triples to move clockwise
         forward = (steps <= m // 2) == (SPECIES[s] == _SHIFTS[SPECIES[species]][2])
         carry += shift_ops(SPECIES[species])[::1 if forward else -1] * min(steps, m - steps)
-    return carry + [head_gate_op(swap(*sorted((s, species))))] + carry[::-1]
+    return carry + [_HEAD_SWAPS[s + species]] + carry[::-1]
 
 
 def permutation_ops(m: int, head: int, perm: Sequence[int]) -> list[PrimitiveOp]:
@@ -204,7 +208,7 @@ def compile_cooling_step(loop: ChainLoop, positions: Sequence[int]) -> tuple[lis
         if where[i] != target:
             gather += _head_transposition_ops(loop.m, loop.head, where[i], i)
             where = [{where[i]: target, target: where[i]}.get(c, c) for c in where]
-    ops = gather + [head_gate_op(g) for g in majority_circuit_toffoli().gates] + gather[::-1]
+    ops = [*gather, *_MAJORITY_OPS, *gather[::-1]]
     return ops, len(ops)
 
 
@@ -213,8 +217,7 @@ def compile_cooling_step(loop: ChainLoop, positions: Sequence[int]) -> tuple[lis
 
 def pulse_program_to_text(ops: Iterable[PrimitiveOp]) -> str:
     """One primitive per line; head gates reuse the circuit gate syntax."""
-    lines = [f"HEAD {_format_gate(op.gate)}" if op.kind == "HEAD" else op.kind for op in ops]
-    return "\n".join(lines) + "\n"
+    return "\n".join([op.text for op in ops]) + "\n"
 
 
 def pulse_program_from_text(text: str) -> list[PrimitiveOp]:

@@ -218,6 +218,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
             circuit_from_text("NOT 0\nNOISE 1 x\n")
 
+    @pytest.mark.parametrize("text, error", [
+        ("CNOT 1 0:1\nNOISE 7 0\n", "line 2: noise position 7 out of range"),
+        ("NOISE 2 0\nNOT 0\n", "line 1: noise position 2 out of range"),  # checked after all gates
+        ("NOT 0\nNOISE -1 0\n", "line 2: noise position -1 out of range"),
+        ("NOT 0\n# wide\nNOISE 1 20\n", "line 3: index 20 out of range 0..19"),
+        ("NOT 0\nNOISE 1 -1\n", "line 2: index -1 out of range 0..19"),
+        ("NOT 0\nNOT 25\n", "line 2: index 25 out of range 0..19"),
+        ("TOFFOLI 0 1:1 20:0\n", "line 1: index 20 out of range 0..19"),
+    ])
+    def test_whole_circuit_errors_name_their_line(self, text, error):
+        with pytest.raises(ValueError) as info:
+            circuit_from_text(text)
+        assert str(info.value) == error
+
+    def test_widest_register_and_last_noise_position_parse(self):
+        c = circuit_from_text("NOT 19\nNOISE 1 0\nNOISE 0 19\n")
+        assert (c.width, c.noise_sites) == (20, ((1, 0), (0, 19)))
+
     def test_gate_construction_errors(self):
         with pytest.raises(ValueError):
             Gate("CNOT", (0, 1))  # wrong arity

@@ -410,6 +410,17 @@ class TestSimulate:
         assert code == 1
         assert json.loads(out) == {"error": "line 3: NOISE expects `pos bit`, got 'NOISE 1'"}
 
+    @pytest.mark.parametrize("text, error", [
+        ("CNOT 1 0:1\nNOISE 7 0\n", "line 2: noise position 7 out of range"),
+        ("NOT 0\nNOT 25\n", "line 2: index 25 out of range 0..19"),
+    ])
+    def test_whole_circuit_error_names_its_line(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out = run_cli(capsys, "simulate", "--circuit", str(path), "--bias", "0.5")
+        assert code == 1
+        assert json.loads(out) == {"error": error}
+
     @pytest.mark.parametrize("extra", [
         ("--bias", "0.3"), ("--biases", "0.1,0.2,0.3"), ("--postselect", "1=0"),
         ("--eps", "0.1"), ("--eps0", "0.1", "--eps1", "0.2"), ("--s", "0.1", "--d", "0"),

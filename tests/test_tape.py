@@ -6,7 +6,9 @@ from itertools import permutations, product
 import pytest
 
 from hbcool import tape
-from hbcool.circuits import _parse_gate, cnot, majority_circuit_toffoli, swap, toffoli
+from hbcool.circuits import (
+    Gate, _format_gate, _parse_gate, cnot, cswap, majority_circuit_toffoli, not_gate, swap, toffoli,
+)
 from hbcool.tape import (
     SPECIES,
     ChainLoop,
@@ -75,6 +77,15 @@ class TestChainLoop:
         loop = ChainLoop(3, (0,) * 9, head=1)
         assert SPECIES == ("A", "B", "C")
         assert [loop.head_cell(s) for s in range(3)] == [3, 4, 5]
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_bits_rejected(self, bad):
+        with pytest.raises(ValueError, match="^cell values must be bits$"):
+            ChainLoop(1, (0, bad, 1))
+
+    def test_bits_become_ints(self):
+        bits = ChainLoop(1, ("1", False, True)).bits
+        assert bits == (1, 0, 1) and all(type(b) is int for b in bits)
 
 
 class TestShiftSequences:
@@ -297,6 +308,83 @@ class TestPrimitives:
             PrimitiveOp("SWAP_AB", cnot(0, 1))
 
 
+SHARED_HEAD_OPS = (*tape._HEAD_SWAPS.values(), *tape._MAJORITY_OPS)
+HEAD_GATES = [cnot(0, 1), cnot(2, 0), toffoli(1, 2, 0), swap(0, 2), swap(1, 2), not_gate(1),
+              cswap(0, 1, 2, 0)]
+
+
+def per_gate_printer(ops):
+    """Pulse-program text formatted gate by gate, without the ops' `text`."""
+    lines = [f"HEAD {_format_gate(op.gate)}" if op.kind == "HEAD" else op.kind for op in ops]
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedOps:
+    @pytest.mark.parametrize("m", [1, 3, 5, 9])
+    def test_programs_use_only_module_ops(self, m):
+        rng = random.Random(300 + m)
+        for head in range(m):
+            loop = ChainLoop(m, (0,) * (3 * m), head=head)
+            programs = [compile_cooling_step(loop, rng.sample(range(3 * m), 3))[0]
+                        for _ in range(20)]
+            programs.append(adjacent_swap_ops(m, rng.randrange(3 * m), head))
+            for op in (op for ops in programs for op in ops):
+                if op.kind == "HEAD":
+                    assert any(op is shared for shared in SHARED_HEAD_OPS), op
+                else:
+                    assert op is tape._LAYER_OPS[op.kind]
+
+    def test_six_shared_head_ops(self):
+        assert len({id(op) for op in SHARED_HEAD_OPS}) == 6
+        assert [op.gate for op in tape._MAJORITY_OPS] == list(majority_circuit_toffoli().gates)
+        assert {op.gate for op in tape._HEAD_SWAPS.values()} == {swap(0, 1), swap(0, 2), swap(1, 2)}
+
+    def test_compiling_builds_no_gate_or_op(self, monkeypatch):
+        built = []
+
+        def counting(post_init):
+            def wrapped(self):
+                built.append(self)
+                post_init(self)
+            return wrapped
+
+        for cls in (Gate, PrimitiveOp):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+        assert head_gate_op(cnot(0, 1)) and len(built) == 2  # the counter sees construction
+        built.clear()
+        compile_cooling_step(ChainLoop(9, (0,) * 27, head=4), (3, 25, 13))
+        permutation_ops(5, 2, list(range(15))[::-1])
+        assert built == []
+
+    @pytest.mark.parametrize("gate", HEAD_GATES)
+    def test_derived_fields(self, gate):
+        op = head_gate_op(gate)
+        assert [x ^ op.flips[x] for x in range(8)] == [gate.apply_to_state(x) for x in range(8)]
+        assert op.text == f"HEAD {_format_gate(gate)}"
+        layer = PrimitiveOp("SWAP_BC")
+        assert (layer.text, layer.flips) == ("SWAP_BC", None)
+
+    def test_derived_fields_leave_equality_hash_and_repr_alone(self):
+        gate = cnot(0, 1)
+        op, twin = head_gate_op(gate), head_gate_op(gate)
+        object.__setattr__(twin, "text", "HEAD NOT 0")
+        object.__setattr__(twin, "flips", (1,) * 8)
+        assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
+        assert hash(op) == hash(("HEAD", gate))
+        assert repr(op) == f"PrimitiveOp(kind='HEAD', gate={gate!r})"
+        assert repr(PrimitiveOp("SWAP_AC")) == "PrimitiveOp(kind='SWAP_AC', gate=None)"
+        assert op != head_gate_op(cnot(1, 0))
+
+    def test_text_matches_per_gate_printer(self):
+        rng = random.Random(17)
+        programs = [random_program(rng, length, HEAD_GATES) for length in (0, 1, 30, 300)]
+        for m in (1, 3, 9, 21):
+            loop = ChainLoop(m, (0,) * (3 * m), head=rng.randrange(m))
+            programs.append(compile_cooling_step(loop, rng.sample(range(3 * m), 3))[0])
+        for ops in programs:
+            assert pulse_program_to_text(ops) == per_gate_printer(ops)
+
+
 class TestPulsePrograms:
     def test_round_trip(self):
         rng = random.Random(5)
@@ -379,14 +467,13 @@ def reference_execute(loop, ops):
     return bits
 
 
-def random_program(rng, length):
-    gates = [cnot(0, 1), cnot(2, 0), toffoli(1, 2, 0), swap(0, 2), swap(1, 2)]
+def random_program(rng, length, gates=HEAD_GATES[:5], layers=("SWAP_AB", "SWAP_BC", "SWAP_AC")):
     ops = []
     for _ in range(length):
         if rng.random() < 0.25:
             ops.append(head_gate_op(rng.choice(gates)))
         else:
-            ops.append(PrimitiveOp(rng.choice(("SWAP_AB", "SWAP_BC", "SWAP_AC"))))
+            ops.append(PrimitiveOp(rng.choice(layers)))
     return ops
 
 
@@ -407,6 +494,21 @@ class TestBitmaskExecute:
         out = execute(loop, [PrimitiveOp("SWAP_AC")])
         assert out.bits == loop_with(m, {0: 1}).bits
         assert list(out.bits) == reference_execute(loop, [PrimitiveOp("SWAP_AC")])
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_swap_ac_heavy_programs_at_every_head(self, m):
+        rng = random.Random(200 + m)
+        layers = ("SWAP_AC",) * 4 + ("SWAP_AB", "SWAP_BC")
+        for head in range(m):
+            for _ in range(10):
+                loop = ChainLoop(m, tuple(rng.getrandbits(1) for _ in range(3 * m)), head=head)
+                ops = random_program(rng, 40, HEAD_GATES, layers)
+                assert list(execute(loop, ops).bits) == reference_execute(loop, ops)
+
+    @pytest.mark.parametrize("bits", list(product((0, 1), repeat=3)))
+    def test_swap_ac_at_one_triple_is_the_wrap_pair_alone(self, bits):
+        out = execute(ChainLoop(1, bits), [PrimitiveOp("SWAP_AC")])
+        assert out.bits == (bits[2], bits[1], bits[0])
 
     def test_head_gate_at_nonzero_head(self):
         loop = loop_with(5, {9: 1}, head=3)  # A cell of the head triple
