@@ -334,11 +334,6 @@ class TestSharedOps:
                 else:
                     assert op is tape._LAYER_OPS[op.kind]
 
-    def test_six_shared_head_ops(self):
-        assert len({id(op) for op in SHARED_HEAD_OPS}) == 6
-        assert [op.gate for op in tape._MAJORITY_OPS] == list(majority_circuit_toffoli().gates)
-        assert {op.gate for op in tape._HEAD_SWAPS.values()} == {swap(0, 1), swap(0, 2), swap(1, 2)}
-
     def test_compiling_builds_no_gate_or_op(self, monkeypatch):
         built = []
 
