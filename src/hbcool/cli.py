@@ -28,12 +28,19 @@ def _fmt_float(x) -> str:
     return str(x)
 
 
+def _csv_cell(value) -> str:
+    """One CSV field: N/A for None, lists joined by "; ", quoted around a comma, quote or newline."""
+    if value is None:
+        return "N/A"
+    text = "; ".join(value) if isinstance(value, list) else _fmt_float(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+
+
 def _emit_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("N/A" if row[k] is None else _fmt_float(row[k])
-                              for k in header))
+        lines.append(",".join(_csv_cell(row[k]) for k in header))
     return "\n".join(lines) + "\n"
 
 
@@ -159,6 +166,7 @@ def _cmd_limits(args) -> tuple[object, str]:
     text = (f"{report.model}: b_lim={_fmt_float(report.b_lim)} "
             f"second_order={_fmt_float(report.b_lim_second_order)} "
             f"threshold={'N/A' if report.threshold is None else _fmt_float(report.threshold)}")
+    text += "".join(f"\nwarning: {w}" for w in report.warnings)
     return record, text
 
 

@@ -367,9 +367,12 @@ def attracting_limit(update: Callable[[float], float], probe: float = 1e-9,
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Threshold and bias-limit summary for one model at given rates;
+    """Threshold and bias-limit summary for one model at given rates.
+
     b_lim_second_order, b_lim's small-rate expansion, can leave [0, 1]
-    (-0.42 at sym-during, eps = 0.1, where b_lim is 0)."""
+    (-0.42 at sym-during, eps = 0.1, where b_lim is 0); `warnings` then
+    says so, and the record carries them only when there are any.
+    """
 
     model: str
     rates: ErrorRates
@@ -378,9 +381,10 @@ class LimitReport:
     b_lim_second_order: float
     gap: float
     above_threshold: bool
+    warnings: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
+        record = {
             "model": self.model,
             "eps0": self.rates.eps0,
             "eps1": self.rates.eps1,
@@ -392,6 +396,9 @@ class LimitReport:
             "gap": self.gap,
             "above_threshold": self.above_threshold,
         }
+        if self.warnings:
+            record["warnings"] = list(self.warnings)
+        return record
 
 
 def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) -> LimitReport:
@@ -404,6 +411,9 @@ def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) 
     b_lim = attracting_limit(model.update)
     second = _second_order_limit(model.label, model.rates.s, model.rates.d)
     above = b_lim == 0.0
+    warnings = () if 0.0 <= second <= 1.0 else (
+        f"b_lim_second_order {second!r} is outside [0, 1]: "
+        "the small-rate expansion does not apply at these rates",)
     return LimitReport(
         model=model.label,
         rates=model.rates,
@@ -412,6 +422,7 @@ def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) 
         b_lim_second_order=second,
         gap=abs(b_lim - second),
         above_threshold=above,
+        warnings=warnings,
     )
 
 

@@ -150,6 +150,22 @@ class TestLimits:
         assert header.split(",")[0] == "model"
         assert row.split(",")[0] == "sym-after"
 
+    def test_expansion_out_of_range_is_a_warning_field(self, capsys):
+        argv = ("limits", "--model", "sym-during", "--eps", "0.1")
+        rec = run_json(capsys, *argv)
+        assert rec["b_lim"] == 0 and rec["b_lim_second_order"] == pytest.approx(-0.42)
+        (warning,) = rec["warnings"]
+        assert "does not apply" in warning
+        _, text = run_cli(capsys, *argv, "--format", "text")
+        assert text.splitlines()[1] == f"warning: {warning}"
+        _, csv_out = run_cli(capsys, *argv, "--format", "csv")
+        header, row = csv_out.splitlines()
+        assert header.endswith(",warnings") and row.endswith(f',"{warning}"')
+
+    def test_records_in_range_carry_no_warnings(self, capsys):
+        assert "warnings" not in run_json(capsys, "limits", "--model", "sym-during",
+                                          "--eps", "0.01")
+
     def test_mixed_rate_flags_rejected(self, capsys):
         code, out = run_cli(capsys, "limits", "--model", "sym-after",
                             "--eps", "0.01", "--s", "0.02")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             JointDistribution([0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize("probs", [[0.5, float("nan")], [float("nan")] * 2,
+                                       [1.0, float("inf")], [float("-inf"), 1.0, 0.0, 0.0]])
+    def test_rejects_non_finite_entries(self, probs):
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            JointDistribution(probs)
+
+    def test_unvalidated_vectors_are_taken_as_given(self):
+        d = JointDistribution([0.5, float("nan")], validate=False)
+        assert d.width == 1 and np.isnan(d.probs[1])
+
 
 class TestBitflipChannel:
     def test_single_bit_symmetric(self):
@@ -107,6 +118,13 @@ class TestConditioning:
         with pytest.raises(ValueError):
             d.marginal_bias(1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_event_next_to_large_mass(self):
+        # the other half's quotient 1.0 / 5e-324 overflows and is discarded
+        d = JointDistribution([1.0, 0.0, 5e-324, 0.0])
+        cond, p = d.condition_on(1, 1)
+        assert p == 5e-324 and cond.probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+
     @pytest.mark.parametrize("value", [2, -1, 0.5])
     def test_rejects_values_other_than_bits(self, value):
         d = product_distribution([0.3, 0.6])
@@ -124,7 +142,7 @@ def _dyadic_register(width: int) -> JointDistribution:
 
 
 class TestKernelsAgainstIndexLoops:
-    """Each (high, bit, low) view kernel equals a per-index loop, exactly."""
+    """Each single-bit kernel equals a per-index loop, exactly."""
 
     @pytest.mark.parametrize("width", range(1, 7))
     def test_channel(self, width):
@@ -159,3 +177,104 @@ class TestKernelsAgainstIndexLoops:
             p = prob_from_bias(b)
             want = np.concatenate([want * p, want * (1.0 - p)])
         assert np.array_equal(product_distribution(biases).probs, want)
+
+
+class _ViewKernels(JointDistribution):
+    """Reference kernels on the (high, bit, low) view `probs.reshape(-1, 2,
+    2**bit)`: a marginal sums a contiguous copy of one half, the channel
+    mixes the two halves through a half-size temporary, postselection
+    divides one half into a zeroed vector. The run-view kernels must give
+    the same bits without using more memory."""
+
+    __slots__ = ()
+
+    def prob_bit_is(self, bit, value):
+        half = self.probs.reshape(-1, 2, 1 << bit)[:, int(value)]
+        return float(np.ascontiguousarray(half).sum())
+
+    def apply_bitflip_channel(self, bit, rates):
+        view = self.probs.reshape(-1, 2, 1 << bit)
+        out = np.empty_like(self.probs)
+        mixed, arrived = out.reshape(view.shape), np.empty(view.shape[::2])
+        for v, leave, enter in ((0, rates.eps0, rates.eps1), (1, rates.eps1, rates.eps0)):
+            np.multiply(view[:, v], 1.0 - leave, out=mixed[:, v])
+            np.multiply(view[:, 1 - v], enter, out=arrived)
+            mixed[:, v] += arrived
+        return JointDistribution(out, validate=False)
+
+    def condition_on(self, bit, value):
+        p = self.prob_bit_is(bit, value)
+        view, v = self.probs.reshape(-1, 2, 1 << bit), int(value)
+        out = np.zeros_like(self.probs)
+        np.divide(view[:, v], p, out=out.reshape(view.shape)[:, v])
+        return JointDistribution(out, validate=False), p
+
+
+_RATES = (ErrorRates(0.0731, 0.2113), ErrorRates(0.4, 0.013), ErrorRates.symmetric(0.1))
+
+
+def _random_pair(width: int) -> tuple[JointDistribution, _ViewKernels]:
+    """A random non-dyadic register and its reference twin (own copies)."""
+    probs = np.random.default_rng(100 + width).random(1 << width)
+    probs /= probs.sum()
+    return (JointDistribution(probs.copy(), validate=False),
+            _ViewKernels(probs.copy(), validate=False))
+
+
+class TestKernelsAgainstViewKernels:
+    """Bit-identity on random non-dyadic data, where any change in the
+    order of a sum or of a product would show; no kernel touches its input."""
+
+    @pytest.mark.parametrize("width", [*range(1, 13), 20])
+    def test_every_bit(self, width):
+        d, ref = _random_pair(width)
+        before = d.probs.copy()
+        for bit in range(width):
+            for rates in _RATES:
+                out = d.apply_bitflip_channel(bit, rates)
+                assert np.array_equal(out.probs, ref.apply_bitflip_channel(bit, rates).probs)
+                assert not np.shares_memory(out.probs, d.probs)
+            for value in (0, 1):
+                assert d.prob_bit_is(bit, value) == ref.prob_bit_is(bit, value)
+                (cond, p), (want, q) = d.condition_on(bit, value), ref.condition_on(bit, value)
+                assert p == q and np.array_equal(cond.probs, want.probs)
+                assert not np.shares_memory(cond.probs, d.probs)
+            assert d.marginal_bias(bit) == 2.0 * ref.prob_bit_is(bit, 0) - 1.0
+        assert np.array_equal(d.probs, before)
+
+    def test_non_contiguous_input_is_copied(self):
+        probs = np.random.default_rng(1).random(64)
+        d = JointDistribution(probs[::2] / probs[::2].sum(), validate=False)
+        ref = _ViewKernels(d.probs, validate=False)
+        for bit in range(d.width):
+            assert np.array_equal(d.apply_bitflip_channel(bit, _RATES[0]).probs,
+                                  ref.apply_bitflip_channel(bit, _RATES[0]).probs)
+            assert d.prob_bit_is(bit, 1) == ref.prob_bit_is(bit, 1)
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced memory of one call, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """No kernel's traced peak exceeds the reference kernel's: a chunk-sized
+    scratch row or a half-size temporary more would show here long before
+    it shows in a process's peak RSS. The 1 KiB slack covers Python objects."""
+
+    @pytest.mark.parametrize("width", [16, 20])
+    def test_peak_at_most_the_view_kernels(self, width):
+        d, ref = _random_pair(width)
+        rates = _RATES[0]
+        for bit in sorted({0, 1, 5, width - 1}):
+            for name, args in (("apply_bitflip_channel", (bit, rates)),
+                               ("prob_bit_is", (bit, 1)), ("condition_on", (bit, 1))):
+                new = _peak_bytes(lambda: getattr(d, name)(*args))
+                old = _peak_bytes(lambda: getattr(ref, name)(*args))
+                assert new <= old + 1024, (name, bit, new, old)

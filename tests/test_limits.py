@@ -501,6 +501,15 @@ class TestGenericLayer:
         report = limit_report(SYM_AFTER, ErrorRates.symmetric(0.3))
         assert report.above_threshold and report.b_lim == 0.0
 
+    def test_warning_only_outside_the_unit_interval(self):
+        inside = limit_report(SYM_DURING, ErrorRates.symmetric(0.01))
+        assert inside.warnings == () and "warnings" not in inside.as_dict()
+        outside = limit_report(SYM_DURING, ErrorRates.symmetric(0.1))
+        assert outside.b_lim_second_order == pytest.approx(-0.42, abs=1e-12)
+        (warning,) = outside.warnings
+        assert "outside [0, 1]" in warning and "small-rate expansion" in warning
+        assert outside.as_dict()["warnings"] == [warning]
+
     def test_asym_reports_have_no_threshold(self):
         for label in (ASYM_AFTER, ASYM_DURING):
             report = limit_report(label, ErrorRates.from_sd(0.02, 0.01))
