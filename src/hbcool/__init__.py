@@ -27,7 +27,6 @@ from .circuits import (
     apply_gate,
     circuit_from_text,
     circuit_to_text,
-    cnot_cswap_majority,
     majority_circuit_cswap,
     majority_circuit_toffoli,
     two_bc_circuit,

@@ -69,10 +69,11 @@ def three_bc_bias(b: float) -> float:
     """Bias after a 3-bit majority compression of three equal-bias bits.
 
     The majority of three independent bits of bias b has bias
-    (3b - b^3) / 2; fixed points are exactly -1, 0 and 1.
+    (3b - b^3) / 2; fixed points are exactly -1, 0 and 1. Evaluated as
+    (3/2 - b^2/2) b, the noisy updates' Horner order at zero rates.
     """
     _require_range(b, -1.0, 1.0, "bias")
-    return 1.5 * b - 0.5 * b * b * b
+    return (1.5 - 0.5 * b * b) * b
 
 
 def three_bc_bias_unequal(b1: float, b2: float, b3: float) -> float:

@@ -40,7 +40,7 @@ __all__ = [
     "not_gate", "cnot", "toffoli", "gtoffoli", "swap", "cswap",
     "apply_gate",
     "majority_circuit_toffoli", "majority_circuit_cswap",
-    "two_bc_circuit", "two_bc_sort_circuit", "cnot_cswap_majority",
+    "two_bc_circuit", "two_bc_sort_circuit",
     "circuit_to_text", "circuit_from_text",
 ]
 
@@ -229,18 +229,6 @@ def two_bc_sort_circuit() -> Circuit:
     all three inputs.
     """
     return Circuit(3, (cnot(0, 1), cswap(0, 2, 1, 0)))
-
-
-def cnot_cswap_majority(b1: int, b2: int, c: int) -> int:
-    """Majority of three bits via the CNOT + controlled-swap identity.
-
-    Equals b1*c + b2*c + b1*b2 mod 2, the value the sorting circuit
-    leaves in the third slot.
-    """
-    for v in (b1, b2, c):
-        if v not in (0, 1):
-            raise ValueError("inputs must be bits")
-    return (b1 & c) ^ (b2 & c) ^ (b1 & b2)
 
 
 # ---------------------------------------------------------------------------

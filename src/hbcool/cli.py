@@ -207,6 +207,8 @@ def _cmd_efficiency(args) -> tuple[object, str]:
         _reject_flags(args, _RATE_FLAGS, "without --noise-model")
         if args.algorithm in ("simple", "heatbath"):
             _reject_flags(args, ("tol",), f"to the noiseless {args.algorithm} schedule")
+        if mode == "approx":
+            _reject_flags(args, ("tol", "trace"), "to --mode approx")
     if args.noise_model is not None:
         rates = _parse_rates(args, required=False)
         if rates is None:

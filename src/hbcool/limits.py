@@ -12,9 +12,6 @@ Each model has an exact bias-update map, a largest attracting fixed
 point ("the bias limit": above it the step stops helping), and a
 second-order-in-rates approximation of that limit. Every exact root here
 is found by bracketed bisection; the closed forms exist as cross-checks.
-Update maps are pre-bound: one builder per model checks the rates once and
-computes their constants; its map checks only the bias. `make_model` and
-the `newbias_*` functions share the builders.
 
 The four models are two circuits, each at two rate slices. The during
 models run the Toffoli majority circuit with its 7 noise sites, the
@@ -22,11 +19,17 @@ after models the same gates with one site on bit 0 after the last gate,
 and the symmetric models are the s = 2 eps, d = 0 slice of the
 asymmetric ones. A circuit's transfer table, summed by input weight,
 gives the four weights c_0..c_3 of its update, a cubic in the input
-bias, as exact polynomials in the rates. The exact asym-during update
-evaluates them, and every model's second-order update and limit are
-expanded from them in exact rationals. Each derivation runs once per
-process and circuit, on first use: importing this module derives
-nothing and loads no numpy.
+bias, as exact polynomials in the rates. From them each circuit's update
+is expanded once, in integers over a power of two, into its b^m
+coefficients a_0..a_3, each a polynomial in (s, d). That one expansion
+gives every model's exact map, re-expanded in t = 1 - s and d, where its
+Horner evaluation stays accurate up to s near 1, and, truncated to degree
+2, its second-order update and limit. Update maps are pre-bound: one
+builder per circuit evaluates the a_m at the rates once, and its map
+checks only the bias; `make_model` and the `newbias_*` functions share
+it. Each derivation runs once per process and circuit, on first use:
+importing this module derives nothing and loads no numpy, and the exact
+maps never load `fractions`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import product
 from typing import Callable, NoReturn, Optional
 
 from .bias import ErrorRates
@@ -97,7 +101,7 @@ def _reject_bias(b: float, bounds: str) -> NoReturn:
     raise ValueError(f"bias must be in [{bounds}], got {b!r}")
 
 
-# ------------------------------------------------- the two circuits' forms
+# ------------------------------------------------- the two circuits' updates
 
 
 @cache
@@ -128,33 +132,95 @@ def _add_product(out: dict, p: dict, q: dict) -> dict:
 
 
 @cache
+def _update_form(during: bool) -> tuple[int, tuple[dict, ...]]:
+    """A circuit's exact update, derived in integers on first use.
+
+    The update is 2 sum_k c_k p^(3-k) q^k - 1 with p, q = (1 +- b)/2, a
+    cubic in b whose b^m coefficient a_m is a polynomial in (s, d), put into
+    each c_k as eps0, eps1 = (s -+ d)/2. Returns (shift, forms): a_m is the
+    sum of n s^i d^j / 2^shift over forms[m] = {(i, j): n}. Every
+    coefficient is dyadic, so the integers hold the update exactly.
+    """
+    weights = _weight_polynomials(during)
+    shift = 2 + max(i + j for weight in weights for _, i, j in weight.terms)
+    in_rates: dict = {}  # {(i, j): [the eps0^i eps1^j coefficient of a_m for m = 0..3]}
+    for k, weight in enumerate(weights):
+        # the b^m coefficients of 8 p^(3-k) q^k = (1 + b)^(3-k) (1 - b)^k
+        betas = [sum(math.comb(3 - k, r) * math.comb(k, m - r) * (-1) ** (m - r)
+                     for r in range(m + 1)) for m in range(4)]
+        for n, i, j in weight.terms:
+            row = in_rates.setdefault((i, j), [0, 0, 0, 0])
+            for m, beta in enumerate(betas):
+                row[m] += beta * n
+    forms = ({(0, 0): -1 << shift}, {}, {}, {})
+    for (i, j), row in in_rates.items():
+        # 2^shift eps0^i eps1^j = 2^(shift - i - j) (s - d)^i (s + d)^j, term by term
+        for u, v in product(range(i + 1), range(j + 1)):
+            binomials = (-1) ** u * math.comb(i, u) * math.comb(j, v) << (shift - 2 - i - j)
+            key = (i + j - u - v, u + v)
+            for form, n in zip(forms, row):
+                form[key] = form.get(key, 0) + n * binomials
+    return shift, tuple({key: n for key, n in form.items() if n} for form in forms)
+
+
+@cache
+def _horner_rows(during: bool) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """a_0..a_3 in t = 1 - s and d, as Horner rows: for each power of d,
+    highest first, the coefficients of its polynomial in t, highest first."""
+    shift, forms = _update_form(during)
+    rows = []
+    for form in forms:
+        in_td: dict = {}
+        for (i, j), n in form.items():
+            for k in range(i + 1):  # s^i = (1 - t)^i
+                in_td[k, j] = in_td.get((k, j), 0) + (-1) ** k * math.comb(i, k) * n
+        top: dict = {}  # the highest power of t at each power of d
+        for (i, j), n in in_td.items():
+            if n:
+                top[j] = max(i, top.get(j, 0))
+        rows.append(tuple(tuple(math.ldexp(in_td.get((i, j), 0), -shift)
+                                for i in range(top.get(j, -1), -1, -1))
+                          for j in range(max(top, default=0), -1, -1)))
+    return tuple(rows)
+
+
+def _circuit_map(during: bool, rates: ErrorRates) -> Callable[[float], float]:
+    """A circuit's exact update, pre-bound to the rates.
+
+    Each a_m is evaluated by Horner's rule in t = 1 - s, then in d; the map
+    is ((a3 b + a2) b + a1) b + a0, after its bias check.
+    """
+    t, d = 1.0 - rates.s, rates.d
+    coefficients = []
+    for rows in _horner_rows(during):
+        a = 0.0
+        for row in rows:
+            p = 0.0
+            for c in row:
+                p = p * t + c
+            a = a * d + p
+        coefficients.append(a)
+    a0, a1, a2, a3 = coefficients
+    bounds = "-1, 1" if during else "-1.0, 1.0"
+    return lambda b: (((a3 * b + a2) * b + a1) * b + a0 if -1.0 <= b <= 1.0
+                      else _reject_bias(b, bounds))
+
+
+@cache
 def _second_order_forms(during: bool) -> tuple[tuple, tuple[float, ...]]:
     """A circuit's update and bias limit to second order in (s, d), derived
     exactly on first use.
 
-    The update is 2 sum_k c_k p^(3-k) q^k - 1 with p, q = (1 +- b)/2, and
-    eps0 = (s - d)/2, eps1 = (s + d)/2 put into each c_k. Returns its b^m
-    coefficient for m = 0..3, each as (coefficient, i, j) terms of s^i d^j
-    in evaluation order, and the limit's coefficients of s, d, s^2, sd, d^2.
+    The update is _update_form's terms of total degree at most 2. Returns
+    its b^m coefficient for m = 0..3, each as (coefficient, i, j) terms of
+    s^i d^j in evaluation order, and the limit's coefficients of s, d, s^2,
+    sd, d^2.
     """
-    from fractions import Fraction  # loaded here: commands that derive nothing never need it
+    from fractions import Fraction  # loaded here: the exact maps never need it
 
-    half = Fraction(1, 2)
-    powers0, powers1 = [{(0, 0): 1}], [{(0, 0): 1}]
-    for _ in range(2):
-        powers0.append(_add_product({}, powers0[-1], {(1, 0): half, (0, 1): -half}))
-        powers1.append(_add_product({}, powers1[-1], {(1, 0): half, (0, 1): half}))
-    update: list[dict] = [{(0, 0): -1}, {}, {}, {}]
-    for k, weight in enumerate(_weight_polynomials(during)):
-        in_sd: dict = {}
-        for n, i, j in weight.terms:
-            if i + j <= 2:
-                _add_product(in_sd, {(0, 0): n}, _add_product({}, powers0[i], powers1[j]))
-        for m in range(4):
-            # the b^m coefficient of 2 p^(3-k) q^k = (1 + b)^(3-k) (1 - b)^k / 4
-            beta = sum(math.comb(3 - k, r) * math.comb(k, m - r) * (-1) ** (m - r)
-                       for r in range(m + 1))
-            _add_product(update[m], in_sd, {(0, 0): Fraction(beta, 4)})
+    shift, forms = _update_form(during)
+    update = [{key: Fraction(n, 1 << shift) for key, n in form.items() if sum(key) <= 2}
+              for form in forms]
     # b <- update(b) from b = 1: the update's b-slope at 1 is 0 when s = d = 0,
     # so each pass fixes one more order of the limit
     b: dict = {(0, 0): 1}
@@ -177,18 +243,12 @@ def _second_order_limit(label: str, s: float, d: float) -> float:
     return 1.0 + a_s * s + a_d * d + a_ss * s * s + a_sd * s * d + a_dd * d * d
 
 
-# ------------------------------------------------------------- symmetric, after
-
-
-def _sym_after_map(eps: float) -> Callable[[float], float]:
-    scale = 1.0 - 2.0 * _check_rate(eps)
-    return lambda b: ((1.5 * b - 0.5 * b * b * b) * scale if -1.0 <= b <= 1.0
-                      else _reject_bias(b, "-1.0, 1.0"))
+# ------------------------------------------------------------ the four models
 
 
 def newbias_sym_after(b: float, eps: float) -> float:
     """Majority step followed by one symmetric flip: ((3b - b^3)/2)(1 - 2 eps)."""
-    return _sym_after_map(eps)(b)
+    return _circuit_map(False, ErrorRates.symmetric(_check_rate(eps)))(b)
 
 
 def threshold_sym_after() -> float:
@@ -204,20 +264,10 @@ def blim_sym_after(eps: float) -> float:
     return math.sqrt((1.0 - 6.0 * eps) / (1.0 - 2.0 * eps))
 
 
-# ------------------------------------------------------------ symmetric, during
-
-
-def _sym_during_map(eps: float) -> Callable[[float], float]:
-    _check_rate(eps)
-    c, k = (1.0 - 2.0 * eps) ** 3, 3.0 - 6.0 * eps + 4.0 * eps * eps
-    return lambda b: (0.5 * b * c * (k - b * b * c) if -1.0 <= b <= 1.0
-                      else _reject_bias(b, "-1, 1"))
-
-
 def newbias_sym_during(b: float, eps: float) -> float:
     """Exact bias out of the majority circuit with a flip chance at each of
     the 7 relevant sites: (b/2)(1-2e)^3 (3 - 6e + 4e^2 - b^2 (1-2e)^3)."""
-    return _sym_during_map(eps)(b)
+    return _circuit_map(True, ErrorRates.symmetric(_check_rate(eps)))(b)
 
 
 @lru_cache(maxsize=1)
@@ -241,18 +291,9 @@ def blim_sym_during(eps: float) -> float:
     return math.sqrt(poly) / (1.0 - 2.0 * eps) ** 3
 
 
-# ------------------------------------------------------------ asymmetric, after
-
-
-def _asym_after_map(rates: ErrorRates) -> Callable[[float], float]:
-    scale, d = 1.0 - rates.s, rates.d
-    return lambda b: ((1.5 * b - 0.5 * b * b * b) * scale + d if -1.0 <= b <= 1.0
-                      else _reject_bias(b, "-1.0, 1.0"))
-
-
 def newbias_asym_after(b: float, rates: ErrorRates) -> float:
     """Majority step followed by one debias step: ((3b - b^3)/2)(1 - s) + d."""
-    return _asym_after_map(rates)(b)
+    return _circuit_map(False, rates)(b)
 
 
 def blim_asym_after(rates: ErrorRates) -> float:
@@ -272,32 +313,14 @@ def blim_asym_after(rates: ErrorRates) -> float:
     return bisect_root(gain, 1e-9 if d == 0.0 else 0.0, 1.0 + 1e-9)
 
 
-# ----------------------------------------------------------- asymmetric, during
-
-
-def _asym_during_map(rates: ErrorRates) -> Callable[[float], float]:
-    c0, c1, c2, c3 = [c(rates) for c in _weight_polynomials(True)]
-    def update(b: float) -> float:
-        if not (-1.0 <= b <= 1.0):
-            _reject_bias(b, "-1, 1")
-        p = (1.0 + b) / 2.0
-        q = 1.0 - p
-        return 2.0 * (c0 * p**3 + c1 * p * p * q + c2 * p * q * q + c3 * q**3) - 1.0
-    return update
-
-
 def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact") -> float:
     """Bias out of the majority circuit with a debias chance at each site.
 
-    exact: the exact cubic 2 * sum_k c_k p^(3-k) (1-p)^k - 1 with
-    p = (1 + b)/2, where c_k sums the circuit's transfer table over the
-    input states with k ones. The c_k are exact polynomials in the rates,
-    derived once per process; each call evaluates them at `rates`.
-    second_order: the exact update expanded to second order in s and d,
-    from the same c_k, in exact rationals once per process.
+    exact: the circuit's exact cubic update, derived once per process.
+    second_order: its terms of total degree at most 2 in s and d.
     """
     if mode == "exact":
-        return _asym_during_map(rates)(b)
+        return _circuit_map(True, rates)(b)
     if mode == "second_order":
         if not (-1.0 <= b <= 1.0):
             _reject_bias(b, "-1, 1")
@@ -333,20 +356,16 @@ class BiasUpdateModel:
 
 
 def make_model(label: str, rates: ErrorRates) -> BiasUpdateModel:
-    """Bind a model label to its exact update map, pre-bound to the rates.
+    """Bind a model label to its circuit's exact update map, pre-bound to the rates.
 
-    Symmetric labels require a symmetric channel (d = 0). The rates are checked and
-    the constants (asym-during: the c_k) computed here, once; the map gives newbias_*'s bits.
+    Symmetric labels require a symmetric channel (d = 0). The map's cubic
+    coefficients are evaluated here, once; the map gives newbias_*'s bits.
     """
     if label not in MODEL_LABELS:
         raise ValueError(f"unknown model {label!r}; expected one of {MODEL_LABELS}")
-    if label in (SYM_AFTER, SYM_DURING):
-        if rates.d != 0.0:
-            raise ValueError(f"{label} requires a symmetric channel (eps0 == eps1)")
-        update = (_sym_after_map if label == SYM_AFTER else _sym_during_map)(rates.eps0)
-    else:
-        update = (_asym_after_map if label == ASYM_AFTER else _asym_during_map)(rates)
-    return BiasUpdateModel(label, rates, update)
+    if label in (SYM_AFTER, SYM_DURING) and rates.d != 0.0:
+        raise ValueError(f"{label} requires a symmetric channel (eps0 == eps1)")
+    return BiasUpdateModel(label, rates, _circuit_map(label in (SYM_DURING, ASYM_DURING), rates))
 
 
 def attracting_limit(update: Callable[[float], float], probe: float = 1e-9,

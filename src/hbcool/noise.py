@@ -5,8 +5,8 @@ optimal-permutation search.
 fixed circuit the output is linear in the input distribution, and
 P(bit 0 reads 0 | x) for each input basis state x is a polynomial in the
 channel rates (eps0, eps1) with integer coefficients. The table is
-derived once per circuit, in pure Python, and any product input at any
-rates is then a short weighted sum of polynomial values.
+derived once per circuit, in pure Python; `limits` expands it into each
+majority circuit's exact bias update.
 
 The tuple enumerator is the brute-force oracle for every noisy bias
 update in this package and is called only by tests: it sums exact tuple
@@ -20,7 +20,7 @@ This module never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
@@ -54,16 +54,10 @@ class RatePolynomial:
     """A polynomial in the channel rates (eps0, eps1) with integer coefficients.
 
     `terms` holds (coefficient, i, j) for every nonzero coefficient of
-    eps0^i eps1^j, in (i, j) order. `degree` is the highest power of
-    either rate.
+    eps0^i eps1^j, in (i, j) order.
     """
 
     terms: tuple[tuple[int, int, int], ...] = ()
-    degree: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", max((max(i, j) for _, i, j in self.terms),
-                                               default=0))
 
     @classmethod
     def _from_coefficients(cls, coefficients: Mapping[tuple[int, int], int]) -> RatePolynomial:
@@ -74,14 +68,6 @@ class RatePolynomial:
         for c, i, j in self.terms + other.terms:
             total[i, j] = total.get((i, j), 0) + c
         return RatePolynomial._from_coefficients(total)
-
-    def __call__(self, rates: ErrorRates) -> float:
-        """Value at the given rates; the terms are summed with math.fsum."""
-        powers0, powers1 = [1.0], [1.0]
-        for _ in range(self.degree):
-            powers0.append(powers0[-1] * rates.eps0)
-            powers1.append(powers1[-1] * rates.eps1)
-        return math.fsum([c * powers0[i] * powers1[j] for c, i, j in self.terms])
 
 
 def transfer_table(circuit: Circuit) -> tuple[RatePolynomial, ...]:

@@ -13,8 +13,7 @@ import pytest
 
 from hbcool.bias import (ErrorRates, steady_state_bias_noisy, three_bc_bias,
                          three_bc_bias_unequal, debias_step)
-from hbcool.circuits import (cnot_cswap_majority, majority_circuit_cswap,
-                             majority_circuit_toffoli)
+from hbcool.circuits import majority_circuit_cswap, majority_circuit_toffoli
 from hbcool.cooling import (fibonacci_algorithm, heatbath_recursive,
                             random_hb_trace_check, run_with_noise, simple_recursive)
 from hbcool.distribution import product_distribution
@@ -27,6 +26,12 @@ from hbcool.noise import brute_force_best_permutation_bias, enumerate_noisy_outp
 
 BIAS_GRID = (0.1, 0.5, 0.9)
 EPS_GRID = (0.001, 0.01, 0.04)
+
+
+def cnot_cswap_majority(b1: int, b2: int, c: int) -> int:
+    """Majority of three bits via the CNOT + controlled-swap identity:
+    b1 c + b2 c + b1 b2 mod 2, the value the sorting circuit leaves in the third slot."""
+    return (b1 & c) ^ (b2 & c) ^ (b1 & b2)
 
 
 def timed(limit_seconds, fn, repeats=3):

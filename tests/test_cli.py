@@ -282,6 +282,23 @@ class TestEfficiency:
         assert code == 1
         assert "tol must be positive" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("algorithm, flags", [
+        ("fibonacci", ("--tol", "0.3")), ("fibonacci", ("--trace",)), ("simple", ("--trace",)),
+    ], ids=["fibonacci-tol", "fibonacci-trace", "simple-trace"])
+    def test_approx_mode_rejects_exact_run_flags(self, capsys, algorithm, flags):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--bi", "0.01",
+                            "--target", "0.9", "--mode", "approx", *flags)
+        assert code == 1
+        assert json.loads(out) == {"error": f"{flags[0]} does not apply to --mode approx"}
+
+    def test_symmetric_and_zero_drift_runs_agree_at_tiny_bias(self, capsys):
+        # one channel, two labels: the during circuit at eps = 0.01 and at (s, d) = (0.02, 0)
+        argv = ("efficiency", "--algorithm", "simple", "--bi", "1e-13", "--target", "0.9")
+        sym = run_json(capsys, *argv, "--noise-model", "sym-during", "--eps", "0.01")
+        asym = run_json(capsys, *argv, "--noise-model", "asym-during", "--s", "0.02", "--d", "0")
+        assert sym["final_bias"] == asym["final_bias"]
+        assert sym["stats"]["steps"] == asym["stats"]["steps"]
+
     def test_heatbath_rejects_approx_mode(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "heatbath",
                             "--bi", "1e-5", "--target", "0.9999", "--mode", "approx")
@@ -640,12 +657,13 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 1 False\n"
 
-    @pytest.mark.parametrize("argv", [
-        ("thresholds",),
-        ("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"),
-        ("update", "--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--d", "0.01"),
-    ], ids=lambda argv: "-".join(argv[:3]))
-    def test_commands_without_second_order_forms_derive_nothing(self, argv):
+    @pytest.mark.parametrize("argv, derived", [
+        (("thresholds",), 0),
+        (("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"), 1),
+        (("update", "--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--d", "0.01"), 1),
+    ], ids=["thresholds", "update-sym-during", "update-asym-after"])
+    def test_commands_without_second_order_forms_derive_no_rationals(self, argv, derived):
+        # an exact update derives its circuit's weight polynomials, in integers only
         proc = run_fresh(
             "import sys; from hbcool import limits; from hbcool.cli import main; "
             f"assert main({list(argv)!r}) == 0; "
@@ -653,7 +671,7 @@ class TestImportBoundary:
             "limits._second_order_forms.cache_info().currsize, "
             "'fractions' in sys.modules, file=sys.stderr)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "0 0 False\n"
+        assert proc.stderr == f"{derived} 0 False\n"
 
     def test_simulate_output_unchanged(self):
         proc = run_fresh(_NUMPY_PROBE, "simulate", "--builtin", "majority-toffoli",

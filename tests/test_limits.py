@@ -6,13 +6,14 @@ to the symmetric ones on the d = 0 slice.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hbcool import limits, noise
-from hbcool.bias import ErrorRates, debias_step, prob_from_bias, three_bc_bias
+from hbcool.bias import ErrorRates, three_bc_bias
 from hbcool.circuits import Circuit, majority_circuit_toffoli
 from hbcool.cooling import run_with_noise
 from hbcool.limits import (
@@ -524,22 +525,6 @@ MAP_BIASES = [0.0, 1e-9, 1e-3, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0, -0.4, -1.0,
               *(k / 97 - 0.5 for k in range(0, 97, 7))]
 
 
-def _composed_update(label: str, rates: ErrorRates, b: float) -> float:
-    """The update as its formula's parts composed, each call checking its inputs."""
-    eps = rates.eps0
-    if label == SYM_AFTER:
-        return three_bc_bias(b) * (1.0 - 2.0 * eps)
-    if label == SYM_DURING:
-        c = (1.0 - 2.0 * eps) ** 3
-        return 0.5 * b * c * (3.0 - 6.0 * eps + 4.0 * eps * eps - b * b * c)
-    if label == ASYM_AFTER:
-        return debias_step(three_bc_bias(b), rates)
-    p = prob_from_bias(b)
-    q = 1.0 - p
-    c = [w(rates) for w in limits._weight_polynomials(True)]
-    return 2.0 * (c[0] * p**3 + c[1] * p * p * q + c[2] * p * q * q + c[3] * q**3) - 1.0
-
-
 def _public_update(label: str, rates: ErrorRates, b: float) -> float:
     if label == SYM_AFTER:
         return newbias_sym_after(b, rates.eps0)
@@ -556,16 +541,76 @@ def _model_rates(label: str, s: float, d: float) -> ErrorRates:
     return ErrorRates.from_sd(s, d)
 
 
+def exact_circuit_update(during: bool, rates: ErrorRates, b: float) -> Fraction:
+    """The majority circuit's output bias at exactly these rates and input bias.
+
+    The product input distribution is pushed through the gates and noise
+    sites in Fractions, state by state; the during circuit has the Toffoli
+    majority's 7 sites, the after circuit one site on bit 0 after the last gate.
+    """
+    circuit = majority_circuit_toffoli()
+    sites = circuit.noise_sites if during else ((len(circuit.gates), 0),)
+    flip = (Fraction(rates.eps0), Fraction(rates.eps1))
+    p = (1 + Fraction(b)) / 2
+    dist = {x: math.prod(1 - p if x >> i & 1 else p for i in range(3)) for x in range(8)}
+    for pos in range(len(circuit.gates) + 1):
+        if pos > 0:
+            dist = {circuit.gates[pos - 1].apply_to_state(x): w for x, w in dist.items()}
+        for bit in (bit for site, bit in sites if site == pos):
+            pushed: dict = {}
+            for x, w in dist.items():
+                e = flip[x >> bit & 1]
+                pushed[x] = pushed.get(x, 0) + w * (1 - e)
+                pushed[x ^ 1 << bit] = pushed.get(x ^ 1 << bit, 0) + w * e
+            dist = pushed
+    return 2 * sum(w for x, w in dist.items() if not x & 1) - 1
+
+
+def error_in_ulps(got: float, want: Fraction) -> float:
+    if want == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(float(want))))
+
+
+def oracle_points(n: int, seed: int = 16):
+    """(s, d, b) with s in [0, 0.98), d = 0 or 0 < d < s with s + d < 0.98, and
+    b = 0 or b log-uniform in [1e-13, 1]. Four fixed points come first, among
+    them b = 1e-13 at s = 0.02, d = 0, where 2 sum_k c_k p^(3-k) q^k - 1 cancels."""
+    rng = random.Random(seed)
+    points = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.02, 0.0, 1e-13), (0.02, 0.01, 1.0)]
+    while len(points) < n:
+        s = rng.uniform(0.0, 0.98)
+        d = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, min(s, 0.98 - s))
+        b = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-13.0, 0.0)
+        points.append((s, d, b))
+    return points
+
+
 class TestPreBoundMaps:
     @pytest.mark.parametrize("label", MODEL_LABELS)
     @pytest.mark.parametrize("s, d", MAP_RATES)
-    def test_model_map_equals_public_update_and_composition(self, label, s, d):
+    def test_model_map_equals_public_update(self, label, s, d):
         rates = _model_rates(label, s, d)
         update = make_model(label, rates).update
         for b in MAP_BIASES:
-            got = update(b)
-            assert got == _public_update(label, rates, b), (label, b)  # bit for bit
-            assert got == _composed_update(label, rates, b), (label, b)
+            assert update(b) == _public_update(label, rates, b), (label, b)  # bit for bit
+
+    @pytest.mark.parametrize("label", MODEL_LABELS)
+    def test_map_is_within_8_ulps_of_the_exact_update(self, label):
+        during = label in (SYM_DURING, ASYM_DURING)
+        worst = 0.0
+        for s, d, b in oracle_points(500):
+            rates = _model_rates(label, s, d)
+            want = exact_circuit_update(during, rates, b)
+            worst = max(worst, error_in_ulps(make_model(label, rates).update(b), want))
+        assert worst <= 8.0, (label, worst)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.005, 0.01, 0.0333, 0.1, 0.2, 0.49])
+    def test_symmetric_models_are_the_zero_drift_slice_bit_for_bit(self, eps):
+        rates = ErrorRates.from_sd(2 * eps, 0.0)
+        for b in MAP_BIASES + [1e-13, 1e-7]:
+            assert newbias_sym_after(b, eps) == newbias_asym_after(b, rates), b
+            assert newbias_sym_during(b, eps) == newbias_asym_during(b, rates), b
 
     @pytest.mark.parametrize("label", MODEL_LABELS)
     @pytest.mark.parametrize("b", [1.5, -1.0000000000000002, float("nan")])
