@@ -67,14 +67,7 @@ from .limits import (
     threshold_sym_after,
     threshold_sym_during,
 )
-from .noise import (
-    RatePolynomial,
-    brute_force_best_permutation_bias,
-    best_bias_over_permutations,
-    enumerate_noisy_output_bias,
-    optimal_permutation_bias,
-    transfer_table,
-)
+from .noise import RatePolynomial, enumerate_noisy_output_bias, transfer_table
 from .tape import (
     ChainLoop,
     PrimitiveOp,

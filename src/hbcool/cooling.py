@@ -14,10 +14,12 @@ Three schedules are provided:
 run_with_noise re-runs the simple and Fibonacci schedules with a noise model's
 update, pre-bound to its rates, in place of the clean majority step.
 
-All of them iterate one bias map through two loops. _climb steps a bias
-level by level toward the target (simple_recursive, heatbath_recursive
-and the noisy simple run); _settle drives a fresh bit to the steady state
-against a fixed pair (the exact and the noisy Fibonacci runs).
+All of them run through two loops. _climb steps a bias level by level
+toward the target (simple_recursive, heatbath_recursive and the noisy
+simple run). _grow adds one bit at a time at the closed-form steady state
+against the last two, counting the _settle loop that drives each fresh
+bit there (the exact and the noisy Fibonacci runs). Every run spends at
+most _STEP_BUDGET updates.
 
 Every run returns a CoolingResult carrying the achieved bias, a cost
 ledger, algorithm-specific stats, and an optional per-step trace that
@@ -26,7 +28,6 @@ exports as JSON lines.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _BOUND_TOL = 1e-12
+_STEP_BUDGET = 1_000_000  # updates one climb or one register growth may spend
 
 
 @dataclass
@@ -79,8 +81,8 @@ def _check_targets(b_i: float, b_t: float) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
@@ -109,16 +111,16 @@ def _level_trace(op: str, levels: list[float]) -> list[dict]:
              "ledger": {"recursion_depth": j}} for j, b in enumerate(levels, start=1)]
 
 
-def _climb(update: Callable[[float], float], b: float, b_t: float, tol: float = 0.0,
-           max_steps: Optional[int] = None) -> tuple[float, list[float]]:
+def _climb(update: Callable[[float], float], b: float, b_t: float,
+           tol: float = 0.0) -> tuple[float, list[float]]:
     """Iterate b <- update(b) until b reaches b_t; returns (final bias, levels).
 
     levels holds the bias after each step. The climb stalls, without
     counting the step, once a step gains at most tol * b; it then ends at
-    the better of the two biases. At most max_steps steps are taken.
+    the better of the two biases. At most _STEP_BUDGET steps are taken.
     """
     levels: list[float] = []
-    while b < b_t and (max_steps is None or len(levels) < max_steps):
+    while b < b_t and len(levels) < _STEP_BUDGET:
         nb = update(b)
         if nb - b <= tol * b:
             return max(b, nb), levels
@@ -127,15 +129,21 @@ def _climb(update: Callable[[float], float], b: float, b_t: float, tol: float = 
     return b, levels
 
 
-def _settle(step: Callable[[float], float], x: float, tol: float,
-            budget: Optional[int] = None) -> tuple[float, int]:
-    """Iterate x <- step(x) until x moves by less than tol or budget steps
-    are spent; returns (the larger of the last two values, steps taken)."""
-    for steps in itertools.count(1):
+def _settle(step: Callable[[float], float], x: float, tol: float, budget: int) -> int:
+    """Iterate x <- step(x) until a move is shorter than tol, or no shorter
+    than the move before, or budget steps are spent; returns the steps taken.
+
+    The pair step contracts by a factor below 1/2, so a move that fails to
+    shrink is rounding; a strictly shrinking sequence of float moves is finite.
+    """
+    move = math.inf
+    for steps in range(1, budget + 1):
         nx = step(x)
-        if abs(nx - x) < tol or steps == budget:
-            return max(x, nx), steps
-        x = nx
+        nmove = abs(nx - x)
+        if nmove < tol or nmove >= move:
+            return steps
+        x, move = nx, nmove
+    return budget
 
 
 def _pair_step(older: float, newer: float, scale: float, d: float) -> Callable[[float], float]:
@@ -278,6 +286,10 @@ def random_hb_trace_check(trials: int, max_bits: int = 8, seed: int = 0,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if max_bits < 3:
+        raise ValueError(f"max_bits must be at least 3, got {max_bits}")
+    if max_ops < 1:
+        raise ValueError(f"max_ops must be at least 1, got {max_ops}")
     rng = random.Random(seed)
     violations: list[dict] = []
     checks = 0
@@ -302,14 +314,46 @@ def random_hb_trace_check(trials: int, max_bits: int = 8, seed: int = 0,
             "violations": len(violations), "first_violations": violations[:5]}
 
 
+def _grow(b_i: float, b_t: float, s: float, d: float, tol: float, stall: float,
+          op: str) -> tuple[list[float], CostLedger, list[dict]]:
+    """Grow a register from two bits at b_i until its last bit reaches b_t.
+
+    Each fresh bit settles from b_i against the last two bits, o and n, under
+    the after-step update with 1 - s and d (its steps go to the ledger), and
+    joins at the pair's steady state ((o + n)(1 - s) + 2d) / (1 + o n (1 - s) + s),
+    steady_state_bias_noisy's float operations. Growth stops once a new bit
+    gains at most stall * n, or once _STEP_BUDGET updates are spent.
+    Returns (sequence, ledger, trace).
+    """
+    scale, two_d = 1.0 - s, 2.0 * d
+    ledger = CostLedger(bits_consumed=2, recursion_depth=2)
+    trace = []
+    sequence = [b_i, b_i]
+    while sequence[-1] < b_t and ledger.three_bc_ops < _STEP_BUDGET:
+        older, newer = sequence[-2], sequence[-1]
+        steps = _settle(_pair_step(older, newer, scale, d), b_i, tol,
+                        _STEP_BUDGET - ledger.three_bc_ops)
+        ledger.three_bc_ops += steps
+        ledger.heat_bath_contacts += 2 * steps
+        x = ((older + newer) * scale + two_d) / (1.0 + older * newer * scale + s)
+        if x - newer <= stall * newer:
+            break
+        sequence.append(x)
+        j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
+        trace.append(_trace_entry(j, op, [j - 2, j - 1, j], [x], ledger))
+    return sequence, ledger, trace
+
+
 def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
-                        tol: float = 1e-12, max_n: int = 100_000) -> CoolingResult:
+                        tol: float = 1e-12) -> CoolingResult:
     """Smallest register size n whose last bit reaches b_t.
 
     approx mode uses the linear regime (bias of bit j grows like
     b_i * F(j)); exact mode builds the steady-state recurrence
     B_j = (B_{j-2} + B_{j-1}) / (1 + B_{j-2} B_{j-1}) with B_1 = B_2 = b_i,
-    simulating each steady-state loop to tolerance tol for the ledger.
+    simulating each steady-state loop to tolerance tol for the ledger. It
+    stops early only if rounding stalls the recurrence or the step budget
+    runs out.
     """
     _check_targets(b_i, b_t)
     _check_tol(tol)
@@ -317,8 +361,6 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
         f_prev, f_last = 1, 1
         sequence = [b_i * f_prev, b_i * f_last]
         while sequence[-1] < b_t:
-            if len(sequence) >= max_n:
-                raise RuntimeError("target not reached within max_n bits")
             f_prev, f_last = f_last, f_prev + f_last
             sequence.append(b_i * f_last)
         n = len(sequence)
@@ -327,44 +369,27 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
         return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats)
     if mode != "exact":
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    ledger = CostLedger()
-    trace = []
-    sequence = [b_i, b_i]
-    while sequence[-1] < b_t:
-        if len(sequence) >= max_n:
-            raise RuntimeError("target not reached within max_n bits")
-        older, newer = sequence[-2], sequence[-1]
-        # drive the fresh bit to the pair's steady state, counting the loop
-        _, steps = _settle(_pair_step(older, newer, 1.0, 0.0), b_i, tol)
-        ledger.three_bc_ops += steps
-        ledger.heat_bath_contacts += 2 * steps
-        sequence.append((older + newer) / (1.0 + older * newer))
-        j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
-        trace.append(_trace_entry(j, "steady-state-majority", [j - 2, j - 1, j],
-                                  [sequence[-1]], ledger))
+    sequence, ledger, trace = _grow(b_i, b_t, 0.0, 0.0, tol, 0.0, "steady-state-majority")
     stats = {"mode": mode, "n": len(sequence), "sequence": sequence}
     return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats, trace=trace)
 
 
 def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
-                   model: str = limits.ASYM_AFTER, tol: float = 1e-12,
-                   max_steps: int = 1_000_000) -> CoolingResult:
+                   model: str = limits.ASYM_AFTER, tol: float = 1e-12) -> CoolingResult:
     """Re-run a schedule with every compression replaced by its noisy update.
 
-    The run stops once a step gains at most tol times the best bias (or
-    the target is reached, or max_steps updates are spent); the achieved
-    supremum never exceeds the model's bias limit. The fibonacci schedule
-    supports the after-step models only, via the unequal-bias update
-    ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d with 1 - s and d bound once per run.
+    The run stops once a step gains at most tol times the best bias, the
+    target is reached, or the step budget is spent; the achieved supremum
+    never exceeds the model's bias limit. The fibonacci schedule supports
+    the after-step models only: each new bit joins at the steady state of
+    the unequal-bias update ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d.
     """
     if not (0.0 < b_i <= b_t <= 1.0):
         raise ValueError("need 0 < b_i <= b_t <= 1")
-    if model not in limits.MODEL_LABELS:
-        raise ValueError(f"unknown model {model!r}")
     _check_tol(tol)
+    update = limits.make_model(model, rates).update  # checks the label and rates for both
     if algorithm == "simple-recursive":
-        update = limits.make_model(model, rates).update
-        b, levels = _climb(update, b_i, b_t, tol, max_steps)
+        b, levels = _climb(update, b_i, b_t, tol)
         stats = {"algorithm": algorithm, "model": model, "steps": len(levels),
                  "reached_target": b >= b_t}
         return CoolingResult(final_bias=b, ledger=_levels_ledger(len(levels)), stats=stats,
@@ -372,25 +397,8 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
     if algorithm == "fibonacci":
         if model not in (limits.SYM_AFTER, limits.ASYM_AFTER):
             raise ValueError("fibonacci schedule supports the after-step models only")
-        if model == limits.SYM_AFTER and rates.d != 0.0:
-            raise ValueError("sym-after requires a symmetric channel")
-        scale, d = 1.0 - rates.s, rates.d
-        ledger = CostLedger(bits_consumed=2, recursion_depth=2)
-        trace = []
-        sequence = [b_i, b_i]
-        steps = 0
-        while sequence[-1] < b_t and steps < max_steps:
-            older, newer = sequence[-2], sequence[-1]
-            x, n = _settle(_pair_step(older, newer, scale, d), b_i, tol, max_steps - steps)
-            steps += n
-            ledger.three_bc_ops += n
-            ledger.heat_bath_contacts += 2 * n
-            if x - newer <= tol * newer:
-                break
-            sequence.append(x)
-            j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
-            trace.append(_trace_entry(j, "noisy-steady-state", [j - 2, j - 1, j],
-                                      [x], ledger))
+        sequence, ledger, trace = _grow(b_i, b_t, rates.s, rates.d, tol, tol,
+                                        "noisy-steady-state")
         stats = {"algorithm": algorithm, "model": model, "n": len(sequence),
                  "sequence": sequence, "reached_target": sequence[-1] >= b_t}
         return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats,

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from .circuits import Gate, _parse_gate, _format_gate, majority_circuit_toffoli, swap
 
 __all__ = [
-    "SPECIES", "ChainLoop", "PrimitiveOp", "head_gate_op", "execute", "shift_ops",
+    "SPECIES", "ChainLoop", "PrimitiveOp", "execute", "shift_ops",
     "permutation_ops", "compile_cooling_step",
     "pulse_program_to_text", "pulse_program_from_text",
 ]
@@ -110,10 +110,6 @@ class PrimitiveOp:
 _LAYER_OPS = {layer: PrimitiveOp(layer) for layer in _LAYERS}
 _HEAD_SWAPS = {a + b: PrimitiveOp("HEAD", swap(a, b)) for a, b in ((0, 1), (0, 2), (1, 2))}
 _MAJORITY_OPS = tuple(PrimitiveOp("HEAD", g) for g in majority_circuit_toffoli().gates)
-
-
-def head_gate_op(gate: Gate) -> PrimitiveOp:
-    return PrimitiveOp("HEAD", gate)
 
 
 def execute(loop: ChainLoop, ops: Iterable[PrimitiveOp]) -> ChainLoop:
@@ -254,5 +250,5 @@ def _parse_line(raw: str) -> PrimitiveOp | None:
     if tokens[0] == "HEAD":
         if len(tokens) < 2:
             raise ValueError(f"HEAD line needs a gate: {line!r}")
-        return head_gate_op(_parse_gate(tokens[1:]))
+        return PrimitiveOp("HEAD", _parse_gate(tokens[1:]))
     raise ValueError(f"unknown primitive {tokens[0]!r}")

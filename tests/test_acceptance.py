@@ -22,7 +22,8 @@ from hbcool.limits import (ASYM_AFTER, ASYM_DURING, SYM_AFTER, SYM_DURING,
                            blim_asym_after, blim_sym_after, blim_sym_during,
                            limit_report, newbias_asym_during, newbias_sym_during,
                            threshold_sym_after, threshold_sym_during)
-from hbcool.noise import brute_force_best_permutation_bias, enumerate_noisy_output_bias
+from hbcool.noise import enumerate_noisy_output_bias
+from oracles import brute_force_best_permutation_bias
 
 BIAS_GRID = (0.1, 0.5, 0.9)
 EPS_GRID = (0.001, 0.01, 0.04)

@@ -273,7 +273,7 @@ class TestEfficiency:
         assert loose["final_bias"] == want.final_bias
         assert loose["stats"]["steps"] < run_json(capsys, *argv)["stats"]["steps"]
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("noise", [(), ("--noise-model", "sym-after", "--eps", "0.01")],
                              ids=["noiseless", "noisy"])
     def test_fibonacci_rejects_nonpositive_tol(self, capsys, tol, noise):
@@ -281,6 +281,21 @@ class TestEfficiency:
                             "--target", "0.5", "--tol", tol, *noise)
         assert code == 1
         assert "tol must be positive" in json.loads(out)["error"]
+
+    def test_fibonacci_below_rounding_tol_returns(self):
+        # the pair step's float iterates can cycle between adjacent floats, so a
+        # settle ends once its moves stop shrinking
+        proc = run_fresh(_CLI_MAIN, "efficiency", "--algorithm", "fibonacci", "--bi", "0.1",
+                         "--target", "0.999", "--tol", "1e-16", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["final_bias"] >= 0.999
+
+    def test_noisy_fibonacci_below_rounding_tol_spends_few_steps(self, capsys):
+        rec = run_json(capsys, "efficiency", "--algorithm", "fibonacci", "--bi", "0.1",
+                       "--target", "0.999", "--tol", "1e-17",
+                       "--noise-model", "asym-after", "--s", "0", "--d", "0")
+        assert rec["ledger"]["three_bc_ops"] < 1000
+        assert rec["stats"]["reached_target"]
 
     @pytest.mark.parametrize("algorithm, flags", [
         ("fibonacci", ("--tol", "0.3")), ("fibonacci", ("--trace",)), ("simple", ("--trace",)),
@@ -361,6 +376,16 @@ class TestEfficiency:
                             "--trials", trials)
         assert code == 1
         assert "trial" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--max-bits", "2", "max_bits must be at least 3, got 2"),
+        ("--max-ops", "0", "max_ops must be at least 1, got 0"),
+    ], ids=["max-bits", "max-ops"])
+    def test_bound_fuzz_rejects_empty_ranges(self, capsys, flag, value, error):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
+                            "--trials", "10", flag, value)
+        assert code == 1
+        assert json.loads(out) == {"error": error}
 
     def test_missing_target_rejected(self, capsys):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "simple",
@@ -615,10 +640,13 @@ _NUMPY_PROBE = ("import sys; from hbcool.cli import main; code = main(sys.argv[1
 _SRC = str(Path(hbcool.__file__).resolve().parents[1])
 
 
-def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+_CLI_MAIN = "import sys; from hbcool.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_fresh(code: str, *argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
 
 
 class TestImportBoundary:

@@ -12,6 +12,8 @@ from hbcool.bias import (ErrorRates, debias_step, fibonacci, steady_state_bias,
                          three_bc_bias_unequal)
 from hbcool.cooling import (
     RegisterBiases,
+    _pair_step,
+    _settle,
     fibonacci_algorithm,
     fibonacci_bound_check,
     heatbath_recursive,
@@ -225,7 +227,13 @@ class TestFibonacciAlgorithm:
                 assert ledger["bits_consumed"] == ledger["recursion_depth"] == entry["step"]
             assert result.trace[-1]["ledger"] == result.ledger.as_dict()
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_settle_ends_once_rounding_takes_over(self):
+        # this pair's float iterates cycle between 0.9815007993778582 and
+        # 0.9815007993778583, so no move ever falls below a tiny tol
+        step = _pair_step(0.5414124727934966, 0.9391491627785106, 1.0, 0.0)
+        assert _settle(step, 0.5, 1e-300, 1_000_000) < 100
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             fibonacci_algorithm(0.1, 0.5, mode="exact", tol=tol)
@@ -237,7 +245,8 @@ class TestFibonacciAlgorithm:
 
 def _noisy_fibonacci_reference(b_i, b_t, rates, tol=1e-12):
     """The noisy Fibonacci schedule as a plain settle loop over the composed
-    step; returns the bias sequence and the steps taken."""
+    step, each new bit at the pair's closed-form steady state; returns the
+    bias sequence and the steps taken."""
     sequence, steps = [b_i, b_i], 0
     while sequence[-1] < b_t:
         older, newer = sequence[-2], sequence[-1]
@@ -248,7 +257,7 @@ def _noisy_fibonacci_reference(b_i, b_t, rates, tol=1e-12):
             if abs(nx - x) < tol:
                 break
             x = nx
-        x = max(x, nx)
+        x = steady_state_bias_noisy(older, newer, rates)
         if x - newer <= tol * newer:
             break
         sequence.append(x)
@@ -287,7 +296,9 @@ class TestRunWithNoise:
         assert clean.ledger.as_dict() == {"bits_consumed": 17, "three_bc_ops": 505,
                                           "heat_bath_contacts": 1010,
                                           "recursion_depth": 17}
-        assert noisy.stats["sequence"] == pytest.approx(clean.stats["sequence"], abs=1e-9)
+        assert noisy.stats["sequence"] == clean.stats["sequence"]  # bit for bit
+        assert [e["biases_after"] for e in noisy.trace] == \
+               [e["biases_after"] for e in clean.trace]
 
     @pytest.mark.parametrize("algorithm", ["simple-recursive", "fibonacci"])
     def test_tiny_initial_bias_still_climbs(self, algorithm):
@@ -300,7 +311,10 @@ class TestRunWithNoise:
         if algorithm == "simple-recursive":
             assert result.stats["steps"] == simple_recursive(1e-13, 0.9).stats["k"] == 75
         else:
-            assert result.stats["n"] > 80
+            # each bit joins at its pair's steady state, not at a settle
+            # iterate that the absolute tol ends one step from b_i
+            sequence, _ = _noisy_fibonacci_reference(1e-13, 0.9, rates)
+            assert result.stats["n"] == len(sequence) == 66
 
     def test_near_threshold_run_ends_at_the_limit(self):
         result = run_with_noise("simple-recursive", 1e-5, 0.9,
@@ -340,8 +354,15 @@ class TestRunWithNoise:
         result = run_with_noise("fibonacci", 0.5, 1.0, rates, model=ASYM_AFTER)
         seq = result.stats["sequence"]
         for j in range(2, len(seq)):
-            want = steady_state_bias_noisy(seq[j - 2], seq[j - 1], rates)
-            assert seq[j] == pytest.approx(want, abs=1e-9)
+            assert seq[j] == steady_state_bias_noisy(seq[j - 2], seq[j - 1], rates)
+
+    @pytest.mark.parametrize("b_i", [1e-13, 0.01, 0.3])
+    def test_fibonacci_entries_are_exact_steady_states(self, b_i):
+        rates = ErrorRates.from_sd(0.02, 0.01)
+        seq = run_with_noise("fibonacci", b_i, 0.99, rates, model=ASYM_AFTER).stats["sequence"]
+        assert len(seq) > 3
+        for j in range(2, len(seq)):
+            assert seq[j] == steady_state_bias_noisy(seq[j - 2], seq[j - 1], rates)
 
     def test_fibonacci_saturates_at_after_limit(self):
         rates = ErrorRates.from_sd(0.02, 0.01)
@@ -372,6 +393,11 @@ class TestRunWithNoise:
         with pytest.raises(ValueError):
             run_with_noise("fibonacci", 0.1, 0.9, ErrorRates.symmetric(0.01),
                            model=SYM_DURING)
+
+    def test_fibonacci_sym_after_needs_a_symmetric_channel(self):
+        with pytest.raises(ValueError, match="sym-after requires a symmetric channel"):
+            run_with_noise("fibonacci", 0.1, 0.9, ErrorRates.from_sd(0.02, 0.01),
+                           model=SYM_AFTER)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):

@@ -14,14 +14,9 @@ import pytest
 from hbcool.bias import ErrorRates, three_bc_bias
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.distribution import product_distribution
-from hbcool.noise import (
-    RatePolynomial,
-    best_bias_over_permutations,
-    brute_force_best_permutation_bias,
-    enumerate_noisy_output_bias,
-    optimal_permutation_bias,
-    transfer_table,
-)
+from hbcool.noise import RatePolynomial, enumerate_noisy_output_bias, transfer_table
+from oracles import (best_bias_over_permutations, brute_force_best_permutation_bias,
+                     optimal_permutation_bias)
 
 TOL = 1e-12
 

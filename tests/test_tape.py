@@ -15,7 +15,6 @@ from hbcool.tape import (
     PrimitiveOp,
     compile_cooling_step,
     execute,
-    head_gate_op,
     permutation_ops,
     pulse_program_from_text,
     pulse_program_to_text,
@@ -301,7 +300,7 @@ class TestPrimitives:
 
     def test_head_gate_needs_local_indices(self):
         with pytest.raises(ValueError):
-            head_gate_op(cnot(0, 4))
+            PrimitiveOp("HEAD", cnot(0, 4))
 
     def test_swap_layer_takes_no_gate(self):
         with pytest.raises(ValueError):
@@ -345,7 +344,7 @@ class TestSharedOps:
 
         for cls in (Gate, PrimitiveOp):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
-        assert head_gate_op(cnot(0, 1)) and len(built) == 2  # the counter sees construction
+        assert PrimitiveOp("HEAD", cnot(0, 1)) and len(built) == 2  # the counter sees construction
         built.clear()
         compile_cooling_step(ChainLoop(9, (0,) * 27, head=4), (3, 25, 13))
         permutation_ops(5, 2, list(range(15))[::-1])
@@ -353,7 +352,7 @@ class TestSharedOps:
 
     @pytest.mark.parametrize("gate", HEAD_GATES)
     def test_derived_fields(self, gate):
-        op = head_gate_op(gate)
+        op = PrimitiveOp("HEAD", gate)
         assert [x ^ op.flips[x] for x in range(8)] == [gate.apply_to_state(x) for x in range(8)]
         assert op.text == f"HEAD {_format_gate(gate)}"
         layer = PrimitiveOp("SWAP_BC")
@@ -361,14 +360,14 @@ class TestSharedOps:
 
     def test_derived_fields_leave_equality_hash_and_repr_alone(self):
         gate = cnot(0, 1)
-        op, twin = head_gate_op(gate), head_gate_op(gate)
+        op, twin = PrimitiveOp("HEAD", gate), PrimitiveOp("HEAD", gate)
         object.__setattr__(twin, "text", "HEAD NOT 0")
         object.__setattr__(twin, "flips", (1,) * 8)
         assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
         assert hash(op) == hash(("HEAD", gate))
         assert repr(op) == f"PrimitiveOp(kind='HEAD', gate={gate!r})"
         assert repr(PrimitiveOp("SWAP_AC")) == "PrimitiveOp(kind='SWAP_AC', gate=None)"
-        assert op != head_gate_op(cnot(1, 0))
+        assert op != PrimitiveOp("HEAD", cnot(1, 0))
 
     def test_text_matches_per_gate_printer(self):
         rng = random.Random(17)
@@ -414,7 +413,7 @@ class TestPulsePrograms:
         variants = ["HEAD CNOT 1 0:1", "  HEAD   CNOT 1\t0:1  ", "HEAD CNOT 1 0:1 # route",
                     "\tHEAD CNOT 1 0:1#"]
         parsed = [pulse_program_from_text(line) for line in variants]
-        assert all(ops == [head_gate_op(cnot(0, 1))] for ops in parsed)
+        assert all(ops == [PrimitiveOp("HEAD", cnot(0, 1))] for ops in parsed)
         assert pulse_program_from_text("# comment only\n\n   \nSWAP_AC # x") == [
             PrimitiveOp("SWAP_AC")]
 
@@ -428,7 +427,7 @@ class TestPulsePrograms:
         assert replayed.bits == direct.bits
 
     def test_text_shape(self):
-        ops = [PrimitiveOp("SWAP_AB"), head_gate_op(cnot(0, 1))]
+        ops = [PrimitiveOp("SWAP_AB"), PrimitiveOp("HEAD", cnot(0, 1))]
         text = pulse_program_to_text(ops)
         assert text == "SWAP_AB\nHEAD CNOT 1 0:1\n"
 
@@ -466,7 +465,7 @@ def random_program(rng, length, gates=HEAD_GATES[:5], layers=("SWAP_AB", "SWAP_B
     ops = []
     for _ in range(length):
         if rng.random() < 0.25:
-            ops.append(head_gate_op(rng.choice(gates)))
+            ops.append(PrimitiveOp("HEAD", rng.choice(gates)))
         else:
             ops.append(PrimitiveOp(rng.choice(layers)))
     return ops
@@ -507,7 +506,7 @@ class TestBitmaskExecute:
 
     def test_head_gate_at_nonzero_head(self):
         loop = loop_with(5, {9: 1}, head=3)  # A cell of the head triple
-        out = execute(loop, [head_gate_op(cnot(0, 2))])
+        out = execute(loop, [PrimitiveOp("HEAD", cnot(0, 2))])
         assert out.bits == loop_with(5, {9: 1, 11: 1}).bits
 
 
