@@ -67,7 +67,7 @@ from .limits import (
     threshold_sym_after,
     threshold_sym_during,
 )
-from .noise import RatePolynomial, enumerate_noisy_output_bias, transfer_table
+from .noise import enumerate_noisy_output_bias
 from .tape import (
     ChainLoop,
     PrimitiveOp,

@@ -1,17 +1,14 @@
-"""Noisy-circuit transfer tables and exhaustive enumeration.
+"""Exhaustive noisy-output enumeration: the test oracle for noisy circuits.
 
-`transfer_table` is the production path for exact noisy outputs. For a
-fixed circuit the output is linear in the input distribution, and
-P(bit 0 reads 0 | x) for each input basis state x is a polynomial in the
-channel rates (eps0, eps1) with integer coefficients. The table is
-derived once per circuit, in pure Python; `limits` expands it into each
-majority circuit's exact bias update.
-
-The tuple enumerator is the brute-force oracle for every noisy bias
-update in this package and is called only by tests: it sums exact tuple
-probabilities over all (input state) x (error pattern) combinations,
-with per-site flip probabilities that may depend on the bit's value at
-the site (the asymmetric channel). No sampling is involved anywhere.
+`enumerate_noisy_output_bias` sums exact tuple probabilities over every
+(input state) x (error pattern) combination, with per-site flip
+probabilities that may depend on the bit's value at the site (the
+asymmetric channel). No sampling is involved. No production path calls
+it: `limits` derives each majority circuit's exact update by its own
+push through the gates and sites. It stays in the package because it
+takes any circuit, per-bit input biases and any output bit, and so
+checks every noisy bias update here by a route that shares nothing with
+the derivation; the README's example calls it.
 
 This module never imports numpy.
 """
@@ -19,19 +16,11 @@ This module never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
 
 from .bias import ErrorRates, prob_from_bias
 from .circuits import Circuit
 
-__all__ = [
-    "RatePolynomial",
-    "transfer_table",
-    "enumerate_noisy_output_bias",
-]
-
-MAX_TABLE_WIDTH = 10  # a transfer table has one row per input basis state
+__all__ = ["enumerate_noisy_output_bias"]
 
 
 def _input_probabilities(width: int, input_bias) -> list[float]:
@@ -42,84 +31,6 @@ def _input_probabilities(width: int, input_bias) -> list[float]:
         if len(biases) != width:
             raise ValueError(f"need {width} biases, got {len(biases)}")
     return [prob_from_bias(b) for b in biases]
-
-
-@dataclass(frozen=True)
-class RatePolynomial:
-    """A polynomial in the channel rates (eps0, eps1) with integer coefficients.
-
-    `terms` holds (coefficient, i, j) for every nonzero coefficient of
-    eps0^i eps1^j, in (i, j) order.
-    """
-
-    terms: tuple[tuple[int, int, int], ...] = ()
-
-    @classmethod
-    def _from_coefficients(cls, coefficients: Mapping[tuple[int, int], int]) -> RatePolynomial:
-        return cls(tuple((c, i, j) for (i, j), c in sorted(coefficients.items()) if c))
-
-    def __add__(self, other: RatePolynomial) -> RatePolynomial:
-        total: dict[tuple[int, int], int] = {}
-        for c, i, j in self.terms + other.terms:
-            total[i, j] = total.get((i, j), 0) + c
-        return RatePolynomial._from_coefficients(total)
-
-
-def transfer_table(circuit: Circuit) -> tuple[RatePolynomial, ...]:
-    """P(bit 0 reads 0 | input basis state x), for every x, exact in the rates.
-
-    Each x is pushed through the gates and noise sites in
-    `Circuit.run_with_channels` order. A path's weight is
-    eps0^a (1-eps0)^b eps1^c (1-eps1)^d: a site that finds its bit at
-    value v multiplies by 1 - eps_v if the bit stays and by eps_v if it
-    flips. Paths merge on (state, a, b, c, d), and those that end with
-    bit 0 at 0 expand into the row's polynomial. The output bias for
-    independent input bits at rates r is 2 * sum_x P(x) * table[x](r) - 1.
-    """
-    if circuit.width > MAX_TABLE_WIDTH:
-        raise ValueError(f"transfer tables need width at most {MAX_TABLE_WIDTH}, "
-                         f"got {circuit.width}")
-    # A path is one int: the state in the low `width` bits, and above it the
-    # exponents a, b, c, d as base-`radix` digits. Gates read and write only
-    # the state bits, so they act on the packed path as on the state.
-    radix = len(circuit.noise_sites) + 1
-    ea, eb, ec, ed = (radix**k << circuit.width for k in range(4))
-    signed_binomials = [[(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-                        for n in range(radix)]
-    by_pos: dict[int, list[int]] = {}
-    for pos, bit in circuit.noise_sites:
-        by_pos.setdefault(pos, []).append(1 << bit)
-    rows = []
-    for x in range(1 << circuit.width):
-        paths = {x: 1}
-        for pos in range(len(circuit.gates) + 1):
-            if pos > 0:
-                gate = circuit.gates[pos - 1]
-                paths = {gate.apply_to_state(path): n for path, n in paths.items()}
-            for mask in by_pos.get(pos, ()):
-                merged: dict[int, int] = {}
-                for path, n in paths.items():
-                    if path & mask:
-                        stay, flip = path + ed, (path ^ mask) + ec
-                    else:
-                        stay, flip = path + eb, (path ^ mask) + ea
-                    merged[stay] = merged.get(stay, 0) + n
-                    merged[flip] = merged.get(flip, 0) + n
-                paths = merged
-        reads_zero: dict[int, int] = {}
-        for path, n in paths.items():
-            if not path & 1:
-                digits = path >> circuit.width
-                reads_zero[digits] = reads_zero.get(digits, 0) + n
-        coefficients: dict[tuple[int, int], int] = {}
-        for digits, n in reads_zero.items():
-            a, b, c, d = (digits // radix**k % radix for k in range(4))
-            # n * eps0^a (1-eps0)^b eps1^c (1-eps1)^d, expanded binomially
-            for k, u in enumerate(signed_binomials[b]):
-                for m, v in enumerate(signed_binomials[d]):
-                    coefficients[a + k, c + m] = coefficients.get((a + k, c + m), 0) + n * u * v
-        rows.append(RatePolynomial._from_coefficients(coefficients))
-    return tuple(rows)
 
 
 def enumerate_noisy_output_bias(circuit: Circuit, input_bias, rates: ErrorRates,

@@ -222,7 +222,7 @@ def test_criterion_10_noisy_runs_saturate_at_the_limit():
 
 def test_criterion_11_exact_asym_during_limit_within_budget():
     """The exact asym-during limit takes under 50 ms, including the one-time
-    derivation of its weight polynomials when this process has not yet done it."""
+    derivation of its circuit's update when this process has not yet done it."""
     rates = ErrorRates.from_sd(0.02, 0.01)
     report = timed(0.05, lambda: limits.limit_report("asym-during", rates))
     assert 0.0 < report.b_lim < 1.0

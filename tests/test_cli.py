@@ -672,15 +672,15 @@ class TestImportBoundary:
 
     def test_asym_during_limit_and_schedule_load_no_numpy(self):
         # importing the CLI derives nothing; the first asym-during model derives the
-        # during circuit's weight polynomials once, in pure Python
+        # during circuit's update once, in pure Python
         proc = run_fresh(
             "import sys; import hbcool.cli; from hbcool import cooling, limits; "
             "from hbcool.bias import ErrorRates; "
-            "derived = limits._weight_polynomials.cache_info().currsize; "
+            "derived = limits._update_form.cache_info().currsize; "
             "rates = ErrorRates.from_sd(0.02, 0.01); "
             "limits.limit_report('asym-during', rates); "
             "cooling.run_with_noise('simple-recursive', 1e-3, 1.0, rates, model='asym-during'); "
-            "print(derived, limits._weight_polynomials.cache_info().currsize, "
+            "print(derived, limits._update_form.cache_info().currsize, "
             "'numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 1 False\n"
@@ -691,11 +691,11 @@ class TestImportBoundary:
         (("update", "--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--d", "0.01"), 1),
     ], ids=["thresholds", "update-sym-during", "update-asym-after"])
     def test_commands_without_second_order_forms_derive_no_rationals(self, argv, derived):
-        # an exact update derives its circuit's weight polynomials, in integers only
+        # an exact update derives its circuit's update, in integers only
         proc = run_fresh(
             "import sys; from hbcool import limits; from hbcool.cli import main; "
             f"assert main({list(argv)!r}) == 0; "
-            "print(limits._weight_polynomials.cache_info().currsize, "
+            "print(limits._update_form.cache_info().currsize, "
             "limits._second_order_forms.cache_info().currsize, "
             "'fractions' in sys.modules, file=sys.stderr)")
         assert proc.returncode == 0, proc.stderr

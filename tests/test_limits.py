@@ -5,6 +5,7 @@ closed forms must agree with it, and the asymmetric formulas must reduce
 to the symmetric ones on the d = 0 slice.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -61,8 +62,8 @@ def interpolated_coefficients(f, grids):
     """Exact monomial coefficients of the polynomial that interpolates f on the
     tensor grid of dyadic nodes `grids`, one node list per argument.
 
-    f is called with floats and must return floats that are exact there, as
-    the closed forms are at few-bit dyadic points."""
+    f is called with floats and must return values that are exact there:
+    Fractions, or floats, as the closed forms are at few-bit dyadic points."""
     bases = []
     for nodes in grids:
         basis = []
@@ -113,26 +114,28 @@ def poly_power(p, n):
     return out
 
 
+# noise sites per circuit: the Toffoli majority's 7 during, one after the last gate
+SITE_COUNTS = {True: len(majority_circuit_toffoli().noise_sites), False: 1}
+
+
+@functools.cache
+def exact_update_coefficients(during):
+    """The circuit's exact update as {(m, i, j): coefficient of b^m s^i d^j},
+    interpolated from `exact_circuit_update` on a dyadic (b, s, d) grid with
+    d < s. Each noise site is one factor linear in (s, d), so one node more
+    than the site count fixes each rate's degree."""
+    nodes = SITE_COUNTS[during] + 1
+    s_nodes = [Fraction(k, 16) for k in range(2, 2 + nodes)]
+    d_nodes = [Fraction(k, 64) for k in range(nodes)]
+    return interpolated_coefficients(
+        lambda b, s, d: exact_circuit_update(during, ErrorRates.from_sd(s, d), b),
+        [B_NODES[1:], s_nodes, d_nodes])
+
+
 def exact_asym_during_update(max_order=2):
-    """The exact update 2 sum_k c_k p^(3-k) q^k - 1 as {(m, i, j): coefficient of
-    b^m s^i d^j}, to total order `max_order` in (s, d), with eps0 = (s - d)/2 and
-    eps1 = (s + d)/2 substituted into the transfer table's polynomials."""
-    table = noise.transfer_table(majority_circuit_toffoli())
-    half = Fraction(1, 2)
-    eps0, eps1 = {(1, 0): half, (0, 1): -half}, {(1, 0): half, (0, 1): half}
-    p, q = {(0,): half, (1,): half}, {(0,): half, (1,): -half}
-    update: dict = {(0, 0, 0): Fraction(-1)}
-    for x, row in enumerate(table):
-        k = x.bit_count()
-        in_b = poly_mul(poly_power(p, 3 - k), poly_power(q, k))
-        for c, i, j in row.terms:
-            if i + j > max_order:
-                continue
-            in_sd = poly_mul(poly_power(eps0, i), poly_power(eps1, j))
-            for (m,), cb in in_b.items():
-                for (a, e), cs in in_sd.items():
-                    update[m, a, e] = update.get((m, a, e), 0) + 2 * c * cb * cs
-    return update
+    """The during circuit's exact update to total order `max_order` in (s, d)."""
+    return {(m, i, j): c for (m, i, j), c in exact_update_coefficients(True).items()
+            if i + j <= max_order}
 
 
 class TestBisectRoot:
@@ -424,6 +427,19 @@ class TestAsymmetricDuring:
         assert report.b_lim == 1.0 and report.b_lim_second_order == 1.0
 
 
+class TestDerivedUpdate:
+    @pytest.mark.parametrize("during", [True, False], ids=["during", "after"])
+    def test_update_form_is_the_interpolated_circuit_update(self, during):
+        shift, forms = limits._update_form(during)
+        sites = SITE_COUNTS[during]
+        assert shift == 2 + sites
+        assert all(type(n) is int and n and i + j <= sites
+                   for form in forms for (i, j), n in form.items())
+        derived = {(m, i, j): Fraction(n, 1 << shift)
+                   for m, form in enumerate(forms) for (i, j), n in form.items()}
+        assert derived == exact_update_coefficients(during)
+
+
 class TestDerivedSecondOrderForms:
     @pytest.mark.parametrize("during, want", [
         (True, (-3, 3, Fraction(-41, 2), 32, Fraction(-23, 2))),
@@ -604,6 +620,19 @@ class TestPreBoundMaps:
             want = exact_circuit_update(during, rates, b)
             worst = max(worst, error_in_ulps(make_model(label, rates).update(b), want))
         assert worst <= 8.0, (label, worst)
+
+    @pytest.mark.parametrize("label", MODEL_LABELS)
+    def test_map_is_within_2_to_the_minus_50_of_the_exact_update_at_negative_bias(self, label):
+        # near the maps' negative roots the error is small only against 1, not
+        # against the value: up to about 140 ulps of it over random points
+        during = label in (SYM_DURING, ASYM_DURING)
+        worst, rng = Fraction(0), random.Random(17)
+        for k, (s, d, b) in enumerate(oracle_points(500, seed=17)):
+            b = -(b if k % 2 and b else 1.0 - rng.random())  # half of them uniform in [-1, 0)
+            rates = _model_rates(label, s, d)
+            want = exact_circuit_update(during, rates, b)
+            worst = max(worst, abs(Fraction(make_model(label, rates).update(b)) - want))
+        assert worst <= Fraction(1, 2**50), (label, float(worst * 2**52))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.005, 0.01, 0.0333, 0.1, 0.2, 0.49])
     def test_symmetric_models_are_the_zero_drift_slice_bit_for_bit(self, eps):

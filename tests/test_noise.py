@@ -14,7 +14,8 @@ import pytest
 from hbcool.bias import ErrorRates, three_bc_bias
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.distribution import product_distribution
-from hbcool.noise import RatePolynomial, enumerate_noisy_output_bias, transfer_table
+from hbcool import noise
+from hbcool.noise import enumerate_noisy_output_bias
 from oracles import (best_bias_over_permutations, brute_force_best_permutation_bias,
                      optimal_permutation_bias)
 
@@ -204,7 +205,7 @@ NOISE 4 3
 NOISE 5 0
 """
 
-TABLE_CASES = [
+CHANNEL_CASES = [
     pytest.param(majority_circuit_toffoli(), [0.3, -0.2, 0.6], id="majority"),
     pytest.param(circuit_from_text(LEADING_SITE_TEXT), [0.5, -0.2, 0.3], id="leading-site"),
     pytest.param(circuit_from_text(FIVE_BIT_TEXT), [-0.9, -0.4, 0.1, 0.55, 0.7],
@@ -212,59 +213,26 @@ TABLE_CASES = [
 ]
 
 
-def evaluate(q, rates):
-    """A rate polynomial's value at the given rates, its terms summed with math.fsum."""
-    return math.fsum(c * rates.eps0**i * rates.eps1**j for c, i, j in q.terms)
-
-
-def table_bias(table, biases, rates):
-    """2 * sum_x P(x) q_x(rates) - 1 for independent input bits."""
-    ps = [(1 + b) / 2 for b in biases]
-    terms = [evaluate(q, rates)
-             * math.prod(p if (x >> i) & 1 == 0 else 1 - p for i, p in enumerate(ps))
-             for x, q in enumerate(table)]
-    return 2 * math.fsum(terms) - 1
-
-
-class TestTransferTable:
+class TestEnumerationAgainstRegister:
     @pytest.mark.parametrize("eps0, eps1", [(0.0, 0.0), (0.01, 0.01), (0.005, 0.015),
                                             (0.0, 0.3), (0.2, 0.45)])
-    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
-    def test_weighted_sum_matches_enumeration(self, circuit, biases, eps0, eps1):
+    @pytest.mark.parametrize("circuit, biases", CHANNEL_CASES)
+    def test_matches_channel_propagation(self, circuit, biases, eps0, eps1):
         rates = ErrorRates(eps0, eps1)
-        table = transfer_table(circuit)
-        assert len(table) == 1 << circuit.width
+        d = circuit.run_with_channels(product_distribution(biases), rates)
         enum = enumerate_noisy_output_bias(circuit, biases, rates)
-        assert table_bias(table, biases, rates) == pytest.approx(enum, abs=1e-14)
+        assert enum == pytest.approx(d.marginal_bias(0), abs=1e-14)
 
-    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
-    def test_noiseless_entries_are_the_output_bit(self, circuit, biases):
-        for x, q in enumerate(transfer_table(circuit)):
-            reads_zero = circuit.apply_to_state(x) & 1 == 0
-            assert evaluate(q, ErrorRates(0.0, 0.0)) == (1.0 if reads_zero else 0.0)
-            # the constant term is the noiseless entry; every other term carries a rate
-            constant = [c for c, i, j in q.terms if i == j == 0]
-            assert constant == ([1] if reads_zero else [])
+    @pytest.mark.parametrize("circuit, biases", CHANNEL_CASES)
+    def test_noiseless_output_is_the_gate_output(self, circuit, biases):
+        # each basis state as certain input bits: bias 1 holds a 0, bias -1 a 1
+        for x in range(1 << circuit.width):
+            certain = [-1.0 if x >> i & 1 else 1.0 for i in range(circuit.width)]
+            got = enumerate_noisy_output_bias(circuit, certain, ErrorRates(0.0, 0.0))
+            assert got == (-1.0 if circuit.apply_to_state(x) & 1 else 1.0), x
 
-    @pytest.mark.parametrize("circuit, biases", TABLE_CASES)
-    def test_coefficients_are_integers_up_to_the_site_count(self, circuit, biases):
-        # each site contributes one factor eps_v or 1 - eps_v to every path
-        for q in transfer_table(circuit):
-            assert all(type(c) is int and c != 0 for c, _, _ in q.terms)
-            assert all(i + j <= len(circuit.noise_sites) for _, i, j in q.terms)
-
-    def test_polynomial_sum(self):
-        a = RatePolynomial(((1, 0, 0), (-2, 1, 0)))
-        b = RatePolynomial(((2, 1, 0), (3, 0, 2)))
-        assert a + b == RatePolynomial(((1, 0, 0), (3, 0, 2)))
-        assert evaluate(a + b, ErrorRates(0.1, 0.2)) == pytest.approx(1 + 3 * 0.04, abs=1e-15)
-        assert evaluate(RatePolynomial(), ErrorRates(0.1, 0.2)) == 0.0
-
-    def test_width_limit(self):
-        # one row per input basis state, kept to 2^10 rows
-        assert len(transfer_table(circuit_from_text("NOT 9\n"))) == 1024
-        with pytest.raises(ValueError, match="at most 10"):
-            transfer_table(circuit_from_text("NOT 10\n"))
+    def test_module_holds_only_the_oracle(self):
+        assert noise.__all__ == ["enumerate_noisy_output_bias"]
 
 
 class TestOptimalPermutation:
