@@ -11,10 +11,10 @@ from itertools import product
 
 import pytest
 
+from hbcool import noise
 from hbcool.bias import ErrorRates, three_bc_bias
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.distribution import product_distribution
-from hbcool import noise
 from hbcool.noise import enumerate_noisy_output_bias
 from oracles import (best_bias_over_permutations, brute_force_best_permutation_bias,
                      optimal_permutation_bias)
