@@ -622,7 +622,7 @@ class TestPreBoundMaps:
         assert worst <= 8.0, (label, worst)
 
     @pytest.mark.parametrize("label", MODEL_LABELS)
-    def test_map_is_within_2_to_the_minus_50_of_the_exact_update_at_negative_bias(self, label):
+    def test_within_2_to_the_minus_50_at_negative_bias(self, label):
         # near the maps' negative roots the error is small only against 1, not
         # against the value: up to about 140 ulps of it over random points
         during = label in (SYM_DURING, ASYM_DURING)

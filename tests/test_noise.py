@@ -217,14 +217,14 @@ class TestEnumerationAgainstRegister:
     @pytest.mark.parametrize("eps0, eps1", [(0.0, 0.0), (0.01, 0.01), (0.005, 0.015),
                                             (0.0, 0.3), (0.2, 0.45)])
     @pytest.mark.parametrize("circuit, biases", CHANNEL_CASES)
-    def test_matches_channel_propagation(self, circuit, biases, eps0, eps1):
+    def test_matches_channels(self, circuit, biases, eps0, eps1):
         rates = ErrorRates(eps0, eps1)
         d = circuit.run_with_channels(product_distribution(biases), rates)
         enum = enumerate_noisy_output_bias(circuit, biases, rates)
         assert enum == pytest.approx(d.marginal_bias(0), abs=1e-14)
 
     @pytest.mark.parametrize("circuit, biases", CHANNEL_CASES)
-    def test_noiseless_output_is_the_gate_output(self, circuit, biases):
+    def test_noiseless_output_is_gate_output(self, circuit, biases):
         # each basis state as certain input bits: bias 1 holds a 0, bias -1 a 1
         for x in range(1 << circuit.width):
             certain = [-1.0 if x >> i & 1 else 1.0 for i in range(circuit.width)]
