@@ -10,7 +10,6 @@ from importlib import import_module as _import_module
 
 from .bias import (
     ErrorRates,
-    bias_from_prob,
     debias_step,
     fibonacci,
     prob_from_bias,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "bias_from_prob",
     "prob_from_bias",
     "two_bc_accept_bias",
     "two_bc_accept_prob",
@@ -34,12 +33,6 @@ def _require_range(value: float, lo: float, hi: float, name: str) -> float:
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return float(value)
-
-
-def bias_from_prob(p: float) -> float:
-    """Polarization of a bit that is 0 with probability p: 2p - 1."""
-    _require_range(p, 0.0, 1.0, "probability")
-    return 2.0 * p - 1.0
 
 
 def prob_from_bias(b: float) -> float:

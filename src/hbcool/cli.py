@@ -199,6 +199,8 @@ def _cmd_efficiency(args) -> tuple[object, str]:
         return report, (f"bound-fuzz: {report['violations']} violations "
                         f"in {report['trials']} trials (seed {report['seed']})")
     _reject_flags(args, tuple(_FUZZ_DEFAULTS), f"to the {args.algorithm} schedule")
+    if args.trace and args.format != "json":
+        raise ValueError(f"--format {args.format} does not apply to --trace")
     if args.bi is None or args.target is None:
         raise ValueError("--bi and --target are required")
     mode = "exact" if args.mode is None else args.mode

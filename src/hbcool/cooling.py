@@ -232,8 +232,7 @@ class RegisterBiases:
         return sorted(self.biases)
 
 
-def three_bc_hb(state: RegisterBiases, i: int, j: int, k: int,
-                ledger: Optional[CostLedger] = None) -> RegisterBiases:
+def three_bc_hb(state: RegisterBiases, i: int, j: int, k: int) -> RegisterBiases:
     """Majority-compress three positions, then bath-reset the two losers.
 
     The position holding the largest of the three biases receives the
@@ -251,9 +250,6 @@ def three_bc_hb(state: RegisterBiases, i: int, j: int, k: int,
     new_biases[ordered[2]] = three_bc_bias_unequal(b1, b2, b3)
     new_biases[ordered[0]] = state.initial_bias
     new_biases[ordered[1]] = state.initial_bias
-    if ledger is not None:
-        ledger.three_bc_ops += 1
-        ledger.heat_bath_contacts += 2
     return RegisterBiases(new_biases, state.initial_bias)
 
 

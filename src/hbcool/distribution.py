@@ -16,9 +16,7 @@ floats at a time, so that a chunk, its source and the scratch rows stay
 in L2. The bit-flip channel copies the partner runs (the two halves
 swapped) into a chunk of the output, multiplies it by the entry rates
 and adds the source times the stay rates; both rate rows have period
-2^(k+1). Postselection on runs of 2 or 4 floats divides whole chunks
-and zeroes the other half's runs; elsewhere the half's strided loops
-are long, and it divides the kept half into a zeroed vector. A
+2^(k+1). Postselection divides the kept half into a zeroed vector. A
 marginal sums bit 0's half as one strided vector, runs of 128 floats or
 more in place, and shorter runs gathered a chunk at a time, then adds
 the partial sums pairwise.
@@ -177,22 +175,9 @@ class JointDistribution:
         p = self.prob_bit_is(bit, value)
         if p <= 0.0:
             raise ValueError(f"cannot condition on zero-probability event bit{bit}={value}")
-        probs, v = self.probs, int(value)
-        n, run = probs.size, 1 << bit
-        view = probs.reshape(-1, 2, run)
-        if not 0 < bit < 3:
-            # one strided vector, or runs of a cache line or more: divide
-            # the kept half only
-            out = np.zeros(n)
-            np.divide(view[:, v], p, out=out.reshape(view.shape)[:, v])
-            return JointDistribution(out, validate=False), p
-        # runs of 2 or 4 floats: divide whole chunks, then zero the other half's runs
-        out, size = np.empty(n), _chunk_len(n)
-        dropped = out.reshape(view.shape)[:, 1 - v]
-        with np.errstate(over="ignore"):  # the other half's quotients are discarded
-            for start in range(0, n, size):
-                np.divide(probs[start:start + size], p, out=out[start:start + size])
-                dropped[start >> (bit + 1):(start + size) >> (bit + 1)] = 0.0
+        view, v = self.probs.reshape(-1, 2, 1 << bit), int(value)
+        out = np.zeros(self.probs.size)
+        np.divide(view[:, v], p, out=out.reshape(view.shape)[:, v])
         return JointDistribution(out, validate=False), p
 
     def __eq__(self, other) -> bool:

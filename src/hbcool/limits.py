@@ -63,9 +63,9 @@ ASYM_DURING = "asym-during"
 MODEL_LABELS = (SYM_AFTER, SYM_DURING, ASYM_AFTER, ASYM_DURING)
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] by bisection; endpoints must bracket a sign change."""
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] by bisection to a bracket under 1e-12, in at
+    most 200 halvings; endpoints must bracket a sign change."""
     if not lo < hi:
         raise ValueError("need lo < hi")
     flo, fhi = f(lo), f(hi)
@@ -75,7 +75,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -84,7 +84,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
 
@@ -268,7 +268,7 @@ def newbias_sym_during(b: float, eps: float) -> float:
 def threshold_sym_during() -> float:
     """Unique root in (0, 1/2) of newbias_sym_during's gain at b -> 0, by bisection."""
     gain = lambda eps: -2.0 + (1.0 - 2.0 * eps) ** 3 * (3.0 - 6.0 * eps + 4.0 * eps * eps)
-    return bisect_root(gain, 0.0, 0.49, tol=1e-12)
+    return bisect_root(gain, 0.0, 0.49)
 
 
 def blim_sym_during(eps: float) -> float:
@@ -366,20 +366,20 @@ def make_model(label: str, rates: ErrorRates) -> BiasUpdateModel:
     return BiasUpdateModel(label, rates, _circuit_map(label in (SYM_DURING, ASYM_DURING), rates))
 
 
-def attracting_limit(update: Callable[[float], float], probe: float = 1e-9,
-                     tol: float = 1e-12) -> float:
+def attracting_limit(update: Callable[[float], float]) -> float:
     """Largest attracting fixed point of a monotone bias-update map on [0, 1].
 
-    Bisection on update(b) - b over [probe, 1]. Returns 0.0 when the map
-    does not improve even the probe bias (rates beyond threshold).
+    Bisection on update(b) - b over [1e-9, 1], or [0, 1] if the map
+    improves b = 0. Returns 0.0 when the map does not improve even the
+    probe bias 1e-9 (rates beyond threshold).
     """
     gain = lambda b: update(b) - b
-    lo = 0.0 if gain(0.0) > 0.0 else probe
+    lo = 0.0 if gain(0.0) > 0.0 else 1e-9
     if gain(lo) <= 0.0:
         return 0.0
     if gain(1.0) >= 0.0:
         return 1.0
-    return bisect_root(gain, lo, 1.0, tol=tol)
+    return bisect_root(gain, lo, 1.0)
 
 
 @dataclass(frozen=True)
@@ -418,22 +418,18 @@ class LimitReport:
         return record
 
 
-def limit_report(model: BiasUpdateModel | str, rates: ErrorRates | None = None) -> LimitReport:
+def limit_report(label: str, rates: ErrorRates) -> LimitReport:
     """Bias limit for a model, from generic bisection on its update map."""
-    if isinstance(model, str):
-        if rates is None:
-            raise ValueError("rates required when model is given as a label")
-        model = make_model(model, rates)
-    threshold, _ = THRESHOLDS[model.label]
-    b_lim = attracting_limit(model.update)
-    second = _second_order_limit(model.label, model.rates.s, model.rates.d)
+    b_lim = attracting_limit(make_model(label, rates).update)
+    threshold, _ = THRESHOLDS[label]
+    second = _second_order_limit(label, rates.s, rates.d)
     above = b_lim == 0.0
     warnings = () if 0.0 <= second <= 1.0 else (
         f"b_lim_second_order {second!r} is outside [0, 1]: "
         "the small-rate expansion does not apply at these rates",)
     return LimitReport(
-        model=model.label,
-        rates=model.rates,
+        model=label,
+        rates=rates,
         threshold=threshold,
         b_lim=b_lim,
         b_lim_second_order=second,

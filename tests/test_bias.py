@@ -11,7 +11,6 @@ import pytest
 
 from hbcool.bias import (
     ErrorRates,
-    bias_from_prob,
     debias_step,
     fibonacci,
     prob_from_bias,
@@ -62,18 +61,9 @@ def enum_two_bc(b):
 
 
 class TestProbabilityConversions:
-    @pytest.mark.parametrize("p, expected", [(0.75, 0.5), (0.5, 0.0), (1.0, 1.0)])
-    def test_bias_from_prob(self, p, expected):
-        assert bias_from_prob(p) == expected
-
     def test_round_trip(self):
         for p in [0.0, 0.1, 0.25, 0.5, 2 / 3, 0.99, 1.0]:
-            assert prob_from_bias(bias_from_prob(p)) == pytest.approx(p, abs=1e-15)
-
-    @pytest.mark.parametrize("p", [-0.1, 1.1])
-    def test_out_of_range_rejected(self, p):
-        with pytest.raises(ValueError):
-            bias_from_prob(p)
+            assert prob_from_bias(2.0 * p - 1.0) == pytest.approx(p, abs=1e-15)
 
 
 class TestTwoBitCompression:

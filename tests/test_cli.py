@@ -364,6 +364,23 @@ class TestEfficiency:
             rec = json.loads(line)
             assert set(rec) == {"step", "op", "positions", "biases_after", "ledger"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize("algorithm", ["simple", "heatbath", "fibonacci"])
+    def test_trace_rejects_other_formats(self, capsys, algorithm, fmt):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--bi", "0.3",
+                            "--target", "0.5", "--trace", "--format", fmt)
+        assert code == 1
+        assert json.loads(out) == {"error": f"--format {fmt} does not apply to --trace"}
+
+    @pytest.mark.parametrize("noise", [(), ("--noise-model", "sym-after", "--eps", "0.01")],
+                             ids=["noiseless", "noisy"])
+    def test_trace_takes_format_json(self, capsys, noise):
+        argv = ("efficiency", "--algorithm", "simple", "--bi", "0.3", "--target", "0.5",
+                "--trace", *noise)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.count("\n") >= 2
+        assert run_cli(capsys, *argv, "--format", "json") == (0, out)
+
     def test_bound_fuzz(self, capsys):
         rec = run_json(capsys, "efficiency", "--algorithm", "bound-fuzz",
                        "--trials", "200", "--seed", "0")
