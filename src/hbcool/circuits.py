@@ -20,8 +20,9 @@ Circuits serialize to a line-oriented text format, one gate per line:
 Targets are bare indices; controls are written bit:value. NOISE lines
 list the noise sites as `NOISE pos bit`.
 
-This module does not import numpy: gates, circuits, text and basis-state
-runs are pure Python, and only a distribution handed to `apply_gate`
+This module does not import numpy: gates, circuits, text, basis-state
+runs and `NarrowRegister`, a register of at most 3 bits as a list of
+floats, are pure Python, and only a distribution handed to `apply_gate`
 brings the numpy-backed register with it.
 """
 
@@ -30,15 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .bias import ErrorRates
+from .bias import ErrorRates, prob_from_bias
 
 if TYPE_CHECKING:
+    from typing import TypeAlias
+
     from .distribution import JointDistribution
+
+    Register: TypeAlias = "JointDistribution | NarrowRegister"
 
 __all__ = [
     "Gate", "Circuit",
     "not_gate", "cnot", "toffoli", "gtoffoli", "swap", "cswap",
-    "apply_gate",
+    "apply_gate", "NarrowRegister", "NARROW_WIDTH",
     "majority_circuit_toffoli", "majority_circuit_cswap",
     "two_bc_circuit", "two_bc_sort_circuit",
     "circuit_to_text", "circuit_from_text",
@@ -120,11 +125,14 @@ def cswap(a: int, b: int, control: int, value: int = 1) -> Gate:
     return Gate(CSWAP, (a, b), ((control, value),))
 
 
-def apply_gate(dist: JointDistribution, gate: Gate) -> JointDistribution:
-    """Push a distribution through a gate; total probability is preserved."""
+def apply_gate(dist: Register, gate: Gate) -> Register:
+    """Push a distribution (a `JointDistribution` or a `NarrowRegister`)
+    through a gate; total probability is preserved."""
     n = dist.width
     if gate.max_index >= n:
         raise ValueError(f"gate touches bit {gate.max_index}, register width {n}")
+    if isinstance(dist, NarrowRegister):
+        return NarrowRegister([dist.probs[gate.apply_to_state(x)] for x in range(1 << n)])
     lo: list = [slice(None)] * n
     for bit, val in gate.controls:
         lo[n - 1 - bit] = val
@@ -135,6 +143,68 @@ def apply_gate(dist: JointDistribution, gate: Gate) -> JointDistribution:
     out = src.copy()
     out[tuple(lo)], out[tuple(hi)] = src[tuple(hi)], src[tuple(lo)]
     return type(dist)(out.reshape(-1), validate=False)
+
+
+NARROW_WIDTH = 3  # widest register `NarrowRegister` holds
+
+
+class NarrowRegister:
+    """A register of at most `NARROW_WIDTH` bits as a list of its 2^width
+    basis-state probabilities, with the methods of `JointDistribution` that
+    circuits and the `simulate` command call, and bit for bit its results.
+
+    Each entry takes the float operations of the numpy kernels: product
+    factors multiplied in bit order, a channel entry as partner·enter +
+    own·stay, a gate as the permutation `Gate.apply_to_state`, postselection
+    as a division. A marginal sums its half left to right from 0.0, which is
+    how numpy adds fewer than 8 floats. A half of a 4-bit register holds 8,
+    and numpy then sums with eight accumulators, hence the 3-bit limit.
+    """
+
+    __slots__ = ("width", "probs")
+
+    def __init__(self, probs: list[float]):
+        self.width = len(probs).bit_length() - 1
+        self.probs = probs
+
+    @classmethod
+    def product(cls, biases: Iterable[float]) -> "NarrowRegister":
+        """Independent product state: bit i reads 0 with probability (1 + b_i)/2."""
+        probs = [1.0]
+        for p in [prob_from_bias(b) for b in biases]:
+            probs = [x * p for x in probs] + [x * (1.0 - p) for x in probs]
+        return cls(probs)
+
+    def _check(self, bit: int, value: int = 0) -> None:
+        if not (0 <= bit < self.width):
+            raise ValueError(f"bit index {bit} out of range for width {self.width}")
+        if value not in (0, 1):
+            raise ValueError(f"bit value must be 0 or 1, got {value!r}")
+
+    def prob_bit_is(self, bit: int, value: int) -> float:
+        self._check(bit, value)
+        total = 0.0
+        for x, p in enumerate(self.probs):
+            if (x >> bit) & 1 == value:
+                total += p
+        return total
+
+    def marginal_bias(self, bit: int) -> float:
+        return 2.0 * self.prob_bit_is(bit, 0) - 1.0
+
+    def apply_bitflip_channel(self, bit: int, rates: ErrorRates) -> "NarrowRegister":
+        self._check(bit)
+        stay, enter = (1.0 - rates.eps0, 1.0 - rates.eps1), (rates.eps1, rates.eps0)
+        probs, run = self.probs, 1 << bit
+        return NarrowRegister([probs[x ^ run] * enter[(x >> bit) & 1]
+                               + p * stay[(x >> bit) & 1] for x, p in enumerate(probs)])
+
+    def condition_on(self, bit: int, value: int) -> tuple["NarrowRegister", float]:
+        p = self.prob_bit_is(bit, value)
+        if p <= 0.0:
+            raise ValueError(f"cannot condition on zero-probability event bit{bit}={value}")
+        return NarrowRegister([q / p if (x >> bit) & 1 == value else 0.0
+                               for x, q in enumerate(self.probs)]), p
 
 
 @dataclass(frozen=True)
@@ -164,13 +234,13 @@ class Circuit:
             x = g.apply_to_state(x)
         return x
 
-    def run(self, dist: JointDistribution) -> JointDistribution:
+    def run(self, dist: Register) -> Register:
         """Propagate a distribution through all gates (noise sites ignored)."""
         for g in self.gates:
             dist = apply_gate(dist, g)
         return dist
 
-    def run_with_channels(self, dist: JointDistribution, rates: ErrorRates) -> JointDistribution:
+    def run_with_channels(self, dist: Register, rates: ErrorRates) -> Register:
         """Propagate with an independent bit-flip channel at every noise site."""
         by_pos: dict[int, list[int]] = {}
         for pos, bit in self.noise_sites:

@@ -6,6 +6,13 @@ CSV is available for the tabular commands (thresholds, table, limits);
 text output is human-oriented and not stability-guaranteed. Exit codes:
 0 success, 1 domain error (a machine-readable error record is printed),
 2 flag parse failure.
+
+A fresh interpreter loads only what its command runs: `cooling` and
+`tape` load inside the commands that use them, and `simulate` loads
+numpy only for a register wider than `circuits.NARROW_WIDTH` (3) bits,
+pushing narrower ones through `circuits.NarrowRegister` with the same
+bits. `limits` loads with the module: the parser's `--model` choices
+read its labels.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import bias as bias_mod
-from . import circuits, cooling, limits, tape
+from . import circuits, limits
 from .bias import ErrorRates
 from .jsonio import dumps as jdumps
 
@@ -190,6 +197,8 @@ _FUZZ_DEFAULTS = {"trials": 10000, "max_bits": 8, "max_ops": 20, "seed": 0}
 
 
 def _cmd_efficiency(args) -> tuple[object, str]:
+    from . import cooling
+
     if args.algorithm == "bound-fuzz":
         _reject_flags(args, ("bi", "target", "mode", "tol", "trace", "noise_model")
                       + _RATE_FLAGS, "to bound-fuzz")
@@ -280,8 +289,6 @@ def _cmd_simulate(args) -> tuple[object, str]:
         record = {"width": circuit.width, "state_in": args.state, "state_out": out_bits}
         return record, f"{args.state} -> {out_bits}"
 
-    from .distribution import product_distribution  # loads numpy: only registers need it
-
     if args.bias is not None:
         biases = [args.bias] * circuit.width
     elif args.biases is not None:
@@ -303,9 +310,13 @@ def _cmd_simulate(args) -> tuple[object, str]:
         if not circuit.noise_sites:
             raise ValueError("circuit has no noise sites; rates are meaningless")
         record.update(eps0=rates.eps0, eps1=rates.eps1)
-        dist = circuit.run_with_channels(product_distribution(biases), rates)
+    if circuit.width <= circuits.NARROW_WIDTH:
+        start = circuits.NarrowRegister.product(biases)
     else:
-        dist = circuit.run(product_distribution(biases))
+        from .distribution import product_distribution  # loads numpy: only wide registers need it
+
+        start = product_distribution(biases)
+    dist = circuit.run(start) if rates is None else circuit.run_with_channels(start, rates)
     if args.postselect is not None:
         dist, prob = dist.condition_on(post_bit, post_value)
         record["postselect"] = args.postselect
@@ -322,6 +333,8 @@ _TAPE_ACTION_FLAGS = {"shift": "fixed", "swap": "pos", "permute": "perm",
 
 
 def _cmd_tape(args) -> tuple[object, str]:
+    from . import tape
+
     _reject_flags(args, [flag for action, flag in _TAPE_ACTION_FLAGS.items()
                          if action != args.action], f"to --action {args.action}")
     bits = _parse_bit_string(args.bits)

@@ -1,14 +1,17 @@
 """Gate semantics, the two majority circuits, and the text format."""
 
-from itertools import permutations, product
+import random
+from itertools import cycle, permutations, product
 
 import numpy as np
 import pytest
 
 from hbcool.bias import three_bc_bias
 from hbcool.circuits import (
+    NARROW_WIDTH,
     Circuit,
     Gate,
+    NarrowRegister,
     apply_gate,
     circuit_from_text,
     circuit_to_text,
@@ -264,6 +267,70 @@ class TestGateKernelOracle:
             assert np.array_equal(apply_gate(d, gate).probs, want), gate
             kinds.add(gate.kind)
         assert len(kinds) == min(5, 2 * width - 1)
+
+
+def _outcome(call):
+    """A call's value, or its ValueError's message."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_register(narrow, wide):
+    assert narrow.width == wide.width
+    assert np.array(narrow.probs).tobytes() == wide.probs.tobytes()
+
+
+class TestNarrowRegisterAgainstJointDistribution:
+    @pytest.mark.parametrize("width", range(1, NARROW_WIDTH + 1))
+    def test_seeded_circuits_match_bit_for_bit(self, width):
+        rng = random.Random(width)
+        placements = list(_every_placement(width))
+        rng.shuffle(placements)
+        next_gate, used, zero_events = cycle(placements).__next__, set(), 0
+        for k in range(40):
+            # the circuits take every placement in turn: every kind, both control values
+            gates = tuple(next_gate() for _ in range(k % 4))
+            used.update(gates)
+            sites = tuple((pos, bit) for pos in range(len(gates) + 1) for bit in range(width)
+                          if rng.random() < 0.5)
+            circuit = Circuit(width, gates, sites)
+            biases = [rng.choice((1.0, -1.0, 0.0, rng.uniform(-1.0, 1.0))) for _ in range(width)]
+            narrow, wide = NarrowRegister.product(biases), product_distribution(biases)
+            _same_register(narrow, wide)
+            eps0, eps1 = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
+            for rates in (None, ErrorRates(eps0, eps1), ErrorRates(0.0, eps1)):
+                if rates is None:
+                    narrow_out, wide_out = circuit.run(narrow), circuit.run(wide)
+                else:
+                    narrow_out = circuit.run_with_channels(narrow, rates)
+                    wide_out = circuit.run_with_channels(wide, rates)
+                _same_register(narrow_out, wide_out)
+                for bit in range(-1, width + 1):
+                    assert (_outcome(lambda: narrow_out.marginal_bias(bit))
+                            == _outcome(lambda: wide_out.marginal_bias(bit)))
+                    for value in (0, 1, 2):
+                        got = _outcome(lambda: narrow_out.condition_on(bit, value))
+                        want = _outcome(lambda: wide_out.condition_on(bit, value))
+                        if isinstance(want, str):
+                            assert got == want
+                            zero_events += want.startswith("cannot condition")
+                        else:
+                            _same_register(got[0], want[0])
+                            assert got[1] == want[1]
+                            assert ([got[0].marginal_bias(i) for i in range(width)]
+                                    == [want[0].marginal_bias(i) for i in range(width)])
+        assert used == set(placements)
+        assert zero_events > 0
+
+    def test_product_rejects_a_bias_outside_the_interval(self):
+        for biases in ([0.5, 1.5], [float("nan")]):
+            with pytest.raises(ValueError) as narrow:
+                NarrowRegister.product(biases)
+            with pytest.raises(ValueError) as wide:
+                product_distribution(biases)
+            assert str(narrow.value) == str(wide.value)
 
 
 # The index-mask kernels that the (high, bit, low) view kernels replaced,

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -655,6 +656,7 @@ class TestConsoleScript:
 _NUMPY_PROBE = ("import sys; from hbcool.cli import main; code = main(sys.argv[1:]); "
                 "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
 _SRC = str(Path(hbcool.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).parent / "golden"
 
 
 _CLI_MAIN = "import sys; from hbcool.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -680,7 +682,7 @@ class TestImportBoundary:
         ("efficiency", "--algorithm", "heatbath", "--bi", "0.01", "--target", "0.9"),
         ("tape", "--m", "3", "--bits", "000110000", "--action", "cool",
          "--positions", "3,4,5"),
-    ], ids=lambda argv: "-".join(argv[:3]))
+    ], ids=lambda argv: "-".join(arg for arg in argv[:3] if arg != "--algorithm"))
     def test_scalar_command_runs_without_numpy(self, capsys, argv):
         proc = run_fresh(_NUMPY_PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
@@ -707,7 +709,7 @@ class TestImportBoundary:
         (("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"), 1),
         (("update", "--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--d", "0.01"), 1),
     ], ids=["thresholds", "update-sym-during", "update-asym-after"])
-    def test_commands_without_second_order_forms_derive_no_rationals(self, argv, derived):
+    def test_exact_commands_derive_no_rationals(self, argv, derived):
         # an exact update derives its circuit's update, in integers only
         proc = run_fresh(
             "import sys; from hbcool import limits; from hbcool.cli import main; "
@@ -722,11 +724,35 @@ class TestImportBoundary:
         proc = run_fresh(_NUMPY_PROBE, "simulate", "--builtin", "majority-toffoli",
                          "--bias", "0.3")
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False"
         assert proc.stdout == (
             '{"width": 3, "biases": [0.29999999999999999, 0.29999999999999999, '
             '0.29999999999999999], "output_bit": 0, "output_bias": 0.43650000000000011, '
             '"marginals": [0.43650000000000011, 0.09000000000000008, '
             '0.09000000000000008]}\n')
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("simulate_builtin", ("--builtin", "majority-toffoli", "--bias", "0.5", "--eps", "0.01")),
+        ("simulate_circuit", ("--circuit", "CIRCUIT", "--biases", "0.5,0.5", "--postselect", "1=0")),
+    ], ids=["builtin", "circuit"])
+    def test_narrow_simulate_loads_no_numpy(self, tmp_path, golden, argv):
+        circuit = tmp_path / "my_circuit.txt"
+        circuit.write_text("CNOT 1 0:1\n")  # the README's 2-bit circuit
+        argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
+        proc = run_fresh(_NUMPY_PROBE, "simulate", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False"
+        assert proc.stdout == (GOLDEN / f"{golden}.out").read_text()
+
+    def test_wide_simulate_takes_the_numpy_register(self, capsys, tmp_path):
+        circuit = tmp_path / "wide.txt"
+        circuit.write_text("CNOT 1 0:1\nTOFFOLI 0 2:1 3:0\nNOISE 1 0\nNOISE 2 3\n")
+        argv = ("simulate", "--circuit", str(circuit), "--biases", "0.5,0.2,-0.3,0.9",
+                "--eps0", "0.01", "--eps1", "0.03", "--postselect", "3=0")
+        proc = run_fresh(_NUMPY_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True"
+        assert proc.stdout == run_cli(capsys, *argv)[1]
 
     def test_register_names_load_on_first_access(self):
         proc = run_fresh("import sys, hbcool; before = 'numpy' in sys.modules; "
@@ -734,16 +760,34 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False True\n"
 
-    def test_package_names_unchanged(self):
-        from hbcool import JointDistribution, product_distribution
+    def test_import_loads_no_submodule(self):
+        proc = run_fresh("import sys, hbcool; "
+                         "print([name for name in sys.modules if name.startswith('hbcool.')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
-        assert JointDistribution is distribution.JointDistribution
-        assert product_distribution is distribution.product_distribution
-        assert hbcool.distribution is distribution
-        # every submodule is loaded here, so the public globals are the eager export
-        # set, plus `cli`, which this test module imports and the package does not
-        public = {name for name in vars(hbcool) if not name.startswith("_")} - {"cli"}
-        assert set(hbcool.__all__) == public | {"JointDistribution", "product_distribution"}
+    @pytest.mark.parametrize("argv, loaded", [
+        (("thresholds",), ""),
+        (("limits", "--model", "sym-during", "--eps", "0.01"), ""),
+        (("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"), ""),
+        (("table", "--eps", "0.01", "--s", "0.02", "--bi", "0.5"), ""),
+        (("tape", "--m", "3", "--bits", "000110000", "--action", "cool", "--positions", "3,4,5"),
+         "hbcool.tape"),
+    ], ids=["thresholds", "limits", "update", "table", "tape"])
+    def test_commands_load_only_their_modules(self, argv, loaded):
+        proc = run_fresh(
+            "import sys; from hbcool.cli import main; code = main(sys.argv[1:]); "
+            "sys.stderr.write(' '.join(name for name in ('hbcool.cooling', 'hbcool.tape') "
+            "if name in sys.modules)); sys.exit(code)", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == loaded
+
+    def test_package_names_unchanged(self):
+        # each public name is its module's object; module names are the submodules
+        for name in hbcool.__all__:
+            home = name if name in hbcool._EXPORTS else hbcool._MODULE_OF[name]
+            module = importlib.import_module(f"hbcool.{home}")
+            assert getattr(hbcool, name) is (module if home == name else getattr(module, name))
         assert set(hbcool.__all__) <= set(dir(hbcool))
         namespace: dict = {}
         exec("from hbcool import *", namespace)

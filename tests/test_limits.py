@@ -642,7 +642,8 @@ class TestPreBoundMaps:
             assert newbias_sym_during(b, eps) == newbias_asym_during(b, rates), b
 
     @pytest.mark.parametrize("label", MODEL_LABELS)
-    @pytest.mark.parametrize("b", [1.5, -1.0000000000000002, float("nan")])
+    @pytest.mark.parametrize("b", [1.5, -1.0000000000000002, float("nan")],
+                             ids=["1.5", "-1-ulp", "nan"])
     def test_out_of_range_bias_keeps_its_message(self, label, b):
         bounds = "-1.0, 1.0" if label in (SYM_AFTER, ASYM_AFTER) else "-1, 1"
         message = f"bias must be in [{bounds}], got {b!r}"
