@@ -91,8 +91,13 @@ def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=float, help="rate difference eps1 - eps0")
 
 
-def _parse_bias_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_bias_list(text: str | None, count: int) -> list[float]:
+    fields = text.split(",") if text else []
+    if any(not field.strip() for field in fields):
+        raise ValueError(f"--biases has an empty field: {text!r}")
+    if len(fields) != count:
+        raise ValueError(f"--biases must list exactly {count} values")
+    return [float(field) for field in fields]
 
 
 def _parse_bit_string(text: str) -> list[int]:
@@ -127,15 +132,11 @@ def _cmd_update(args) -> tuple[object, str]:
     elif rule == "three-bc":
         record["result"] = bias_mod.three_bc_bias(args.bias)
     elif rule == "three-bc-unequal":
-        bs = _parse_bias_list(args.biases or "")
-        if len(bs) != 3:
-            raise ValueError("--biases must list exactly 3 values")
+        bs = _parse_bias_list(args.biases, 3)
         record["biases"] = bs
         record["result"] = bias_mod.three_bc_bias_unequal(*bs)
     elif rule == "steady-state":
-        bs = _parse_bias_list(args.biases or "")
-        if len(bs) != 2:
-            raise ValueError("--biases must list exactly 2 values")
+        bs = _parse_bias_list(args.biases, 2)
         rates = _parse_rates(args, required=False)
         record["biases"] = bs
         if rates is None:
@@ -292,9 +293,7 @@ def _cmd_simulate(args) -> tuple[object, str]:
     if args.bias is not None:
         biases = [args.bias] * circuit.width
     elif args.biases is not None:
-        biases = _parse_bias_list(args.biases)
-        if len(biases) != circuit.width:
-            raise ValueError(f"need {circuit.width} biases")
+        biases = _parse_bias_list(args.biases, circuit.width)
     else:
         raise ValueError("give --state, --bias, or --biases")
 

@@ -165,7 +165,11 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
     _check_targets(b_i, b_t)
     if mode == "approx":
         k = math.log(b_t / b_i) / math.log(1.5)
-        bits = 3.0**k
+        try:
+            bits = 3.0**k
+        except OverflowError:
+            raise ValueError(f"approx mode's 3**k starting bits pass the float maximum "
+                             f"at k = {k!r} > 646") from None
         ledger = CostLedger(bits_consumed=math.ceil(bits), recursion_depth=math.ceil(k))
         stats = {"mode": mode, "k": k, "bits": bits, "bits_ceil": math.ceil(bits)}
         return CoolingResult(final_bias=b_t, ledger=ledger, stats=stats)
@@ -268,6 +272,8 @@ def fibonacci_bound_check(state: RegisterBiases) -> BoundCheck:
         bound = state.initial_bias * f
         if value > bound + _BOUND_TOL:
             return BoundCheck(False, witness_index=j, witness_value=value, bound=bound)
+        if bound >= 1.0:  # no bias exceeds 1, and F(j) would outgrow a float
+            break
         f_prev, f = f, f_prev + f
     return BoundCheck(True)
 
@@ -358,7 +364,11 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
         sequence = [b_i * f_prev, b_i * f_last]
         while sequence[-1] < b_t:
             f_prev, f_last = f_last, f_prev + f_last
-            sequence.append(b_i * f_last)
+            try:
+                sequence.append(b_i * f_last)
+            except OverflowError:
+                raise ValueError(f"approx mode's b_i * F(j) needs F(j) past the float maximum "
+                                 f"at b_i = {b_i!r}") from None
         n = len(sequence)
         ledger = CostLedger(bits_consumed=n)
         stats = {"mode": mode, "n": n, "sequence": sequence}

@@ -17,19 +17,16 @@ The four models are two circuits, each at two rate slices. The during
 models run the Toffoli majority circuit with its 7 noise sites, the
 after models the same gates with one site on bit 0 after the last gate,
 and the symmetric models are the s = 2 eps, d = 0 slice of the
-asymmetric ones. Each circuit's update is a cubic in the input bias b.
-It is derived once, by pushing the product input state through the
-gates and sites with each state's weight held as an integer polynomial
-in (b, s, d), into its b^m coefficients a_0..a_3, each a polynomial in
-(s, d) over a power of two. That one derivation gives every model's
-exact map, re-expanded in t = 1 - s and d, where its Horner evaluation
-stays accurate up to s near 1, and, truncated to degree 2, its
-second-order update and limit. Update maps are pre-bound: one builder
-per circuit evaluates the a_m at the rates once, and its map checks only
-the bias; `make_model` and the `newbias_*` functions share it. Each
-derivation runs once per process and circuit, on first use: importing
-this module derives nothing and loads no numpy, and the exact
-maps never load `fractions`.
+asymmetric ones. Each circuit's update is a cubic in the input bias b,
+derived by pushing the product input state through the gates and sites
+with each state's weight an integer polynomial in (b, s, d). One cached
+record per circuit, built from that push on first use, holds what every
+model reads: the b^m coefficients a_0..a_3 re-expanded in t = 1 - s and
+d as Horner rows, accurate up to s near 1, and, truncated to degree 2,
+the second-order update and limit, exact in floats. Each update map is
+pre-bound: `make_model` and the `newbias_*` functions evaluate the a_m
+at the rates once, and the map checks only the bias. Importing this
+module derives nothing and loads no numpy; no step needs rational arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, NoReturn, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 from .bias import ErrorRates
 from .circuits import majority_circuit_toffoli
@@ -112,9 +109,8 @@ def _add_product(out: dict, p: dict, q: dict) -> dict:
     return out
 
 
-@cache
 def _update_form(during: bool) -> tuple[int, tuple[dict, ...]]:
-    """A circuit's exact update, derived in integers on first use.
+    """A circuit's exact update, derived in integers.
 
     The product input state is pushed through the gates and noise sites in
     `Circuit.run_with_channels` order, as the register pushes a distribution,
@@ -157,10 +153,20 @@ def _update_form(during: bool) -> tuple[int, tuple[dict, ...]]:
     return shift, tuple({key: n for key, n in form.items() if n} for form in forms)
 
 
+_Record = NamedTuple("_Record", [("rows", tuple), ("second_order", tuple), ("limit", tuple)])
+
+
 @cache
-def _horner_rows(during: bool) -> tuple[tuple[tuple[float, ...], ...], ...]:
-    """a_0..a_3 in t = 1 - s and d, as Horner rows: for each power of d,
-    highest first, the coefficients of its polynomial in t, highest first."""
+def _derivation(during: bool) -> _Record:
+    """A circuit's update as the models read it, from one push, on first use.
+
+    rows: a_0..a_3 in t = 1 - s and d, as Horner rows: for each power of d,
+    highest first, the coefficients of its polynomial in t, highest first.
+    second_order: the update's terms of total degree at most 2 in (s, d), for
+    each b^m as (coefficient, i, j) terms of s^i d^j in evaluation order.
+    limit: the bias limit's coefficients of s, d, s^2, sd, d^2. The second-
+    order half is in floats, exactly: its coefficients are few-bit dyadics.
+    """
     shift, forms = _update_form(during)
     rows = []
     for form in forms:
@@ -168,14 +174,29 @@ def _horner_rows(during: bool) -> tuple[tuple[tuple[float, ...], ...], ...]:
         for (i, j), n in form.items():
             for k in range(i + 1):  # s^i = (1 - t)^i
                 in_td[k, j] = in_td.get((k, j), 0) + (-1) ** k * math.comb(i, k) * n
-        top: dict = {}  # the highest power of t at each power of d
-        for (i, j), n in in_td.items():
-            if n:
-                top[j] = max(i, top.get(j, 0))
+        top: dict = {}  # the highest power of t at each power of d, written last
+        for i, j in sorted(key for key, n in in_td.items() if n):
+            top[j] = i
         rows.append(tuple(tuple(math.ldexp(in_td.get((i, j), 0), -shift)
                                 for i in range(top.get(j, -1), -1, -1))
                           for j in range(max(top, default=0), -1, -1)))
-    return tuple(rows)
+    update = [{key: math.ldexp(n, -shift) for key, n in form.items() if sum(key) <= 2}
+              for form in forms]
+    # b <- update(b) from b = 1: the update's b-slope at 1 is 0 when s = d = 0,
+    # so each pass fixes one more order of the limit
+    b: dict = {(0, 0): 1.0}
+    for _ in range(2):
+        value, power = {}, {(0, 0): 1.0}
+        for a in update:
+            _add_product(value, a, power)
+            power = _add_product({}, power, b)
+        b = value
+    # each b^m coefficient sums its pure-s terms, then its pure-d ones, then the mixed
+    order = lambda key: (0 if key[1] == 0 else 1 if key[0] == 0 else 2, sum(key))
+    return _Record(
+        tuple(rows),
+        tuple(tuple((a[key], *key) for key in sorted(a, key=order)) for a in update),
+        tuple(b.get(key, 0.0) for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))))
 
 
 def _circuit_map(during: bool, rates: ErrorRates) -> Callable[[float], float]:
@@ -186,7 +207,7 @@ def _circuit_map(during: bool, rates: ErrorRates) -> Callable[[float], float]:
     """
     t, d = 1.0 - rates.s, rates.d
     coefficients = []
-    for rows in _horner_rows(during):
+    for rows in _derivation(during).rows:
         a = 0.0
         for row in rows:
             p = 0.0
@@ -200,40 +221,9 @@ def _circuit_map(during: bool, rates: ErrorRates) -> Callable[[float], float]:
                       else _reject_bias(b, bounds))
 
 
-@cache
-def _second_order_forms(during: bool) -> tuple[tuple, tuple[float, ...]]:
-    """A circuit's update and bias limit to second order in (s, d), derived
-    exactly on first use.
-
-    The update is _update_form's terms of total degree at most 2. Returns
-    its b^m coefficient for m = 0..3, each as (coefficient, i, j) terms of
-    s^i d^j in evaluation order, and the limit's coefficients of s, d, s^2,
-    sd, d^2.
-    """
-    from fractions import Fraction  # loaded here: the exact maps never need it
-
-    shift, forms = _update_form(during)
-    update = [{key: Fraction(n, 1 << shift) for key, n in form.items() if sum(key) <= 2}
-              for form in forms]
-    # b <- update(b) from b = 1: the update's b-slope at 1 is 0 when s = d = 0,
-    # so each pass fixes one more order of the limit
-    b: dict = {(0, 0): 1}
-    for _ in range(2):
-        value, power = {}, {(0, 0): 1}
-        for a in update:
-            _add_product(value, a, power)
-            power = _add_product({}, power, b)
-        b = value
-    # each b^m coefficient sums its pure-s terms, then its pure-d ones, then the mixed
-    order = lambda key: (0 if key[1] == 0 else 1 if key[0] == 0 else 2, sum(key))
-    terms = tuple(tuple((float(a[key]), *key) for key in sorted(a, key=order) if a[key])
-                  for a in update)
-    return terms, tuple(float(b.get(key, 0)) for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-
-
 def _second_order_limit(label: str, s: float, d: float) -> float:
     """The model's bias limit to second order in (s, d), as 1 + a_s s + ... + a_dd d^2."""
-    a_s, a_d, a_ss, a_sd, a_dd = _second_order_forms(label in (SYM_DURING, ASYM_DURING))[1]
+    a_s, a_d, a_ss, a_sd, a_dd = _derivation(label in (SYM_DURING, ASYM_DURING)).limit
     return 1.0 + a_s * s + a_d * d + a_ss * s * s + a_sd * s * d + a_dd * d * d
 
 
@@ -320,7 +310,7 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact") -> flo
             _reject_bias(b, "-1, 1")
         s, d = rates.s, rates.d
         a0, a1, a2, a3 = (sum(c * s**i * d**j for c, i, j in terms)
-                          for terms in _second_order_forms(True)[0])
+                          for terms in _derivation(True).second_order)
         return a0 + a1 * b + a2 * b * b + a3 * b**3
     raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
 

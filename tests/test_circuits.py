@@ -284,7 +284,7 @@ def _same_register(narrow, wide):
 
 class TestNarrowRegisterAgainstJointDistribution:
     @pytest.mark.parametrize("width", range(1, NARROW_WIDTH + 1))
-    def test_seeded_circuits_match_bit_for_bit(self, width):
+    def test_seeded_circuits_match(self, width):
         rng = random.Random(width)
         placements = list(_every_placement(width))
         rng.shuffle(placements)

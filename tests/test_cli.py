@@ -83,6 +83,15 @@ class TestUpdate:
                        "--biases", "0.5,0.5", "--s", "0.2", "--d", "0.1")
         assert rec["result"] == pytest.approx(0.7142857142857143, abs=1e-12)
 
+    @pytest.mark.parametrize("rule, biases", [
+        ("steady-state", "0.5,,0.5"), ("steady-state", "0.5,0.5,"),
+        ("three-bc-unequal", " ,0.2,0.4,0.6"),
+    ])
+    def test_empty_bias_field_rejected(self, capsys, rule, biases):
+        code, out = run_cli(capsys, "update", "--rule", rule, "--biases", biases)
+        assert code == 1
+        assert json.loads(out) == {"error": f"--biases has an empty field: {biases!r}"}
+
     def test_debias_requires_rates(self, capsys):
         code, out = run_cli(capsys, "update", "--rule", "debias", "--bias", "0.9")
         assert code == 1
@@ -388,6 +397,21 @@ class TestEfficiency:
         assert rec["violations"] == 0
         assert rec["trials"] == 200
 
+    def test_bound_fuzz_on_registers_past_float_fibonacci_numbers(self, capsys):
+        rec = run_json(capsys, "efficiency", "--algorithm", "bound-fuzz",
+                       "--trials", "20", "--max-bits", "2000")
+        assert rec["violations"] == 0 and rec["trials"] == 20
+
+    @pytest.mark.parametrize("algorithm, bi, limit", [
+        ("simple", "1e-114", "3**k starting bits"), ("fibonacci", "3e-309", "b_i * F(j)"),
+    ], ids=["simple", "fibonacci"])
+    def test_approx_mode_past_the_float_maximum(self, capsys, algorithm, bi, limit):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--mode", "approx",
+                            "--bi", bi, "--target", "0.9")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert limit in error and "float maximum" in error
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_bound_fuzz_needs_a_trial(self, capsys, trials):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
@@ -507,6 +531,17 @@ class TestSimulate:
         assert code == 1
         error = json.loads(out)["error"]
         assert error.startswith(extra[0]) and error.endswith("not apply to a --state run")
+
+    @pytest.mark.parametrize("biases, error", [
+        ("0.1,,0.2,0.3", "--biases has an empty field: '0.1,,0.2,0.3'"),
+        ("0.1,0.2,0.3,", "--biases has an empty field: '0.1,0.2,0.3,'"),
+        ("0.1,0.2", "--biases must list exactly 3 values"),
+    ], ids=["empty-field", "trailing-comma", "too-few"])
+    def test_malformed_bias_list_rejected(self, capsys, biases, error):
+        code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
+                            "--biases", biases)
+        assert code == 1
+        assert json.loads(out) == {"error": error}
 
     def test_bias_and_biases_are_exclusive(self, capsys):
         code, out = run_cli(capsys, "simulate", "--builtin", "majority-toffoli",
@@ -695,11 +730,11 @@ class TestImportBoundary:
         proc = run_fresh(
             "import sys; import hbcool.cli; from hbcool import cooling, limits; "
             "from hbcool.bias import ErrorRates; "
-            "derived = limits._update_form.cache_info().currsize; "
+            "derived = limits._derivation.cache_info().currsize; "
             "rates = ErrorRates.from_sd(0.02, 0.01); "
             "limits.limit_report('asym-during', rates); "
             "cooling.run_with_noise('simple-recursive', 1e-3, 1.0, rates, model='asym-during'); "
-            "print(derived, limits._update_form.cache_info().currsize, "
+            "print(derived, limits._derivation.cache_info().currsize, "
             "'numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 1 False\n"
@@ -708,17 +743,22 @@ class TestImportBoundary:
         (("thresholds",), 0),
         (("update", "--rule", "sym-during", "--bias", "0.5", "--eps", "0.01"), 1),
         (("update", "--rule", "asym-after", "--bias", "0.5", "--s", "0.02", "--d", "0.01"), 1),
-    ], ids=["thresholds", "update-sym-during", "update-asym-after"])
+        (("update", "--rule", "asym-during", "--bias", "0.5", "--s", "0.02", "--d", "0.01",
+          "--order", "second"), 1),
+        (("limits", "--model", "asym-during", "--s", "0.02", "--d", "0.01"), 1),
+        (("table", "--eps", "0.01", "--s", "0.02", "--bi", "0.5"), 2),
+    ], ids=["thresholds", "update-sym-during", "update-asym-after", "update-second-order",
+            "limits", "table"])
     def test_exact_commands_derive_no_rationals(self, argv, derived):
-        # an exact update derives its circuit's update, in integers only
+        # each command derives the circuits it reads, once each, in integers and
+        # exact floats only
         proc = run_fresh(
             "import sys; from hbcool import limits; from hbcool.cli import main; "
             f"assert main({list(argv)!r}) == 0; "
-            "print(limits._update_form.cache_info().currsize, "
-            "limits._second_order_forms.cache_info().currsize, "
+            "print(limits._derivation.cache_info().currsize, "
             "'fractions' in sys.modules, file=sys.stderr)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == f"{derived} 0 False\n"
+        assert proc.stderr == f"{derived} False\n"
 
     def test_simulate_output_unchanged(self):
         proc = run_fresh(_NUMPY_PROBE, "simulate", "--builtin", "majority-toffoli",

@@ -151,6 +151,13 @@ class TestFibonacciBoundCheck:
         assert check.bound == pytest.approx(0.1)
         assert check.witness_value == pytest.approx(0.25)
 
+    def test_register_wider_than_float_fibonacci_numbers(self):
+        # F(j) outgrows a float at j = 1477; no bias exceeds 1, so the check
+        # ends at the first bound of at least 1
+        assert fibonacci_bound_check(RegisterBiases([0.01] * 2000, 0.01)).passed
+        report = random_hb_trace_check(trials=20, max_bits=2000, seed=0)
+        assert report["violations"] == 0 and report["checks"] > 0
+
     def test_fuzz_traces_never_violate(self):
         report = random_hb_trace_check(trials=2000, max_bits=8, seed=7)
         assert report["violations"] == 0

@@ -54,7 +54,7 @@ def second_order_residuals(label, family):
 
 def derived_update(during):
     """The derived second-order update as {(m, i, j): coefficient of b^m s^i d^j}."""
-    terms = limits._second_order_forms(during)[0]
+    terms = limits._derivation(during).second_order
     return {(m, i, j): Fraction(c) for m, poly in enumerate(terms) for c, i, j in poly}
 
 
@@ -447,12 +447,12 @@ class TestDerivedSecondOrderForms:
     ], ids=["during", "after"])
     def test_limit_coefficients(self, during, want):
         # coefficients of s, d, s^2, sd, d^2
-        assert tuple(Fraction(c) for c in limits._second_order_forms(during)[1]) == want
+        assert tuple(Fraction(c) for c in limits._derivation(during).limit) == want
 
     @pytest.mark.parametrize("label, want", [(SYM_AFTER, (-2, -6)), (SYM_DURING, (-6, -82))],
                              ids=[SYM_AFTER, SYM_DURING])
     def test_symmetric_slices(self, label, want):
-        a_s, _, a_ss, _, _ = limits._second_order_forms(label == SYM_DURING)[1]
+        a_s, _, a_ss, _, _ = limits._derivation(label == SYM_DURING).limit
         assert (Fraction(2 * a_s), Fraction(4 * a_ss)) == want
         # the slice evaluates bit for bit like 1 + a eps + c eps^2
         for eps in (0.001, 0.0123, 0.03, 0.04):
@@ -635,7 +635,7 @@ class TestPreBoundMaps:
         assert worst <= Fraction(1, 2**50), (label, float(worst * 2**52))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.005, 0.01, 0.0333, 0.1, 0.2, 0.49])
-    def test_symmetric_models_are_the_zero_drift_slice_bit_for_bit(self, eps):
+    def test_sym_models_equal_zero_drift_slice_bit_for_bit(self, eps):
         rates = ErrorRates.from_sd(2 * eps, 0.0)
         for b in MAP_BIASES + [1e-13, 1e-7]:
             assert newbias_sym_after(b, eps) == newbias_asym_after(b, rates), b
