@@ -153,12 +153,14 @@ class NarrowRegister:
     basis-state probabilities, with the methods of `JointDistribution` that
     circuits and the `simulate` command call, and bit for bit its results.
 
-    Each entry takes the float operations of the numpy kernels: product
-    factors multiplied in bit order, a channel entry as partner·enter +
-    own·stay, a gate as the permutation `Gate.apply_to_state`, postselection
-    as a division. A marginal sums its half left to right from 0.0, which is
-    how numpy adds fewer than 8 floats. A half of a 4-bit register holds 8,
-    and numpy then sums with eight accumulators, hence the 3-bit limit.
+    The push is generic over the entry type: `limits` pushes exact
+    polynomial weights through it. For float entries, each takes the float
+    operations of the numpy kernels: product factors multiplied in bit
+    order, a channel entry as partner·enter + own·stay, a gate as the
+    permutation `Gate.apply_to_state`, postselection as a division. A
+    marginal sums its half left to right from 0.0, which is how numpy adds
+    fewer than 8 floats. A half of a 4-bit register holds 8, and numpy then
+    sums with eight accumulators, hence the 3-bit limit.
     """
 
     __slots__ = ("width", "probs")

@@ -255,6 +255,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     brief = {k: v for k, v in result.stats.items() if not isinstance(v, list)}
     text = (f"{args.algorithm}: final_bias={_fmt_float(result.final_bias)} "
             + " ".join(f"{k}={_fmt_float(v)}" for k, v in brief.items()))
+    text += "".join(f"\nwarning: {w}" for w in result.stats.get("warnings", ()))
     return record, text
 
 
@@ -336,10 +337,7 @@ def _cmd_tape(args) -> tuple[object, str]:
 
     _reject_flags(args, [flag for action, flag in _TAPE_ACTION_FLAGS.items()
                          if action != args.action], f"to --action {args.action}")
-    bits = _parse_bit_string(args.bits)
-    if len(bits) != 3 * args.m:
-        raise ValueError(f"--bits needs {3 * args.m} cells for m={args.m}")
-    loop = tape.ChainLoop(args.m, tuple(bits), head=args.head)
+    loop = tape.ChainLoop(args.m, tuple(_parse_bit_string(args.bits)), head=args.head)
     record: dict = {"m": args.m, "head": args.head, "bits_in": args.bits}
     if args.action == "shift":
         if args.fixed not in tape.SPECIES:

@@ -269,10 +269,11 @@ def fibonacci_bound_check(state: RegisterBiases) -> BoundCheck:
     """Check the sorted biases against b_i * F(j) position by position."""
     f_prev, f = 0, 1  # F(0), F(1)
     for j, value in enumerate(state.sorted_biases(), start=1):
-        bound = state.initial_bias * f
+        shift = max(f.bit_length() - 53, 0)  # F(j) cut to a float's 53 bits, never past its range
+        bound = math.ldexp(state.initial_bias * (f >> shift), shift)
         if value > bound + _BOUND_TOL:
             return BoundCheck(False, witness_index=j, witness_value=value, bound=bound)
-        if bound >= 1.0:  # no bias exceeds 1, and F(j) would outgrow a float
+        if bound >= 1.0:  # no bias exceeds 1
             break
         f_prev, f = f, f_prev + f
     return BoundCheck(True)
@@ -372,6 +373,9 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
         n = len(sequence)
         ledger = CostLedger(bits_consumed=n)
         stats = {"mode": mode, "n": n, "sequence": sequence}
+        if sequence[-1] > 1.0:
+            stats["warnings"] = [f"final_bias {sequence[-1]!r} is above 1: the linear "
+                                 "regime's b_i * F(n) is not a bias here"]
         return CoolingResult(final_bias=sequence[-1], ledger=ledger, stats=stats)
     if mode != "exact":
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")

@@ -18,8 +18,8 @@ models run the Toffoli majority circuit with its 7 noise sites, the
 after models the same gates with one site on bit 0 after the last gate,
 and the symmetric models are the s = 2 eps, d = 0 slice of the
 asymmetric ones. Each circuit's update is a cubic in the input bias b,
-derived by pushing the product input state through the gates and sites
-with each state's weight an integer polynomial in (b, s, d). One cached
+derived by the register's own push, `Circuit.run_with_channels` on a
+`NarrowRegister` whose weights are exact polynomials in (b, s, d). One cached
 record per circuit, built from that push on first use, holds what every
 model reads: the b^m coefficients a_0..a_3 re-expanded in t = 1 - s and
 d as Horner rows, accurate up to s near 1, and, truncated to degree 2,
@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional
 
 from .bias import ErrorRates
-from .circuits import majority_circuit_toffoli
+from .circuits import Circuit, NarrowRegister, cnot, majority_circuit_toffoli, toffoli
 # bound here so the benchmark's traced run can wrap them as hbcool.limits.<name>
 from .bias import three_bc_bias  # noqa: F401
 from .noise import enumerate_noisy_output_bias  # noqa: F401
@@ -99,60 +100,51 @@ def _reject_bias(b: float, bounds: str) -> NoReturn:
 # ------------------------------------------------- the two circuits' updates
 
 
-def _add_product(out: dict, p: dict, q: dict) -> dict:
-    """out += p * q, for polynomials in (s, d) held as {(i, j): coefficient of
-    s^i d^j}, truncated to total degree 2."""
-    for (i, j), a in p.items():
-        for (k, m), c in q.items():
-            if i + j + k + m <= 2:
-                out[i + k, j + m] = out.get((i + k, j + m), 0) + a * c
-    return out
+class _Poly(dict):
+    """The sum of c b^m s^i d^j as {(m, i, j): c}, with no zero term. Every
+    coefficient here is a dyadic of a few bits, so each float operation is exact."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "_Poly":
+        out = _Poly(self)
+        for key, c in (other if isinstance(other, _Poly) else {(0, 0, 0): other}).items():
+            if c := out.pop(key, 0.0) + c:
+                out[key] = c
+        return out
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, _Poly):
+            return _Poly({key: c * other for key, c in self.items()} if other else {})
+        out = _Poly()
+        for (n, k, l), c in other.items():
+            for (m, i, j), a in self.items():
+                key = (m + n, i + k, j + l)
+                if v := out.pop(key, 0.0) + a * c:
+                    out[key] = v
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
+    __sub__ = lambda self, other: self + other * -1.0
+    __rsub__ = lambda self, other: self * -1.0 + other
 
 
-def _update_form(during: bool) -> tuple[int, tuple[dict, ...]]:
-    """A circuit's exact update, derived in integers.
-
-    The product input state is pushed through the gates and noise sites in
-    `Circuit.run_with_channels` order, as the register pushes a distribution,
-    but each basis state's weight is held as {(m, i, j): n}, the sum of
-    n b^m s^i d^j / 2^(3 + sites). A state with k ones starts as
-    (1 + b)^(3-k) (1 - b)^k, and a site that finds its bit at v moves
-    (s -+ d) w of the weight w across, which is eps_v = (s -+ d)/2 over the
-    site's factor 2. Returns (shift, forms): the update's b^m coefficient
-    a_m is the sum of n s^i d^j / 2^shift over forms[m] = {(i, j): n}, exact.
-    """
-    circuit = majority_circuit_toffoli()
-    sites = circuit.noise_sites if during else ((len(circuit.gates), 0),)
-    register = {}
-    for x in range(8):
-        k = x.bit_count()
-        register[x] = {(m, 0, 0): sum(math.comb(3 - k, r) * math.comb(k, m - r) * (-1) ** (m - r)
-                                      for r in range(m + 1)) for m in range(4)}
-    for pos in range(len(circuit.gates) + 1):
-        if pos > 0:
-            register = {circuit.gates[pos - 1].apply_to_state(x): w for x, w in register.items()}
-        for bit in (bit for at, bit in sites if at == pos):
-            pushed: dict = {}
-            for x, w in register.items():
-                sign = 1 if x >> bit & 1 else -1
-                stay, move = pushed.setdefault(x, {}), pushed.setdefault(x ^ 1 << bit, {})
-                for (m, i, j), n in w.items():
-                    stay[m, i, j] = stay.get((m, i, j), 0) + 2 * n
-                    for key, flip in (((m, i + 1, j), n), ((m, i, j + 1), sign * n)):
-                        move[key] = move.get(key, 0) + flip
-                        stay[key] = stay.get(key, 0) - flip
-            # zero terms are many, and pruning them keeps the push fast
-            register = {x: {key: n for key, n in w.items() if n} for x, w in pushed.items()}
-    # the update is 2 P(bit 0 reads 0) - 1
-    shift = 2 + len(sites)
-    forms: tuple[dict, ...] = ({(0, 0): -1 << shift}, {}, {}, {})
-    for x, w in register.items():
-        if not x & 1:
-            for (m, i, j), n in w.items():
-                forms[m][i, j] = forms[m].get((i, j), 0) + n
-    return shift, tuple({key: n for key, n in form.items() if n} for form in forms)
+def _update_form(circuit: Circuit) -> _Poly:
+    """A 3-bit circuit's exact update of bit 0, as a _Poly in (b, s, d): the
+    register's own push of _Poly weights, each bit reading 0 with weight
+    (1 + b)/2, through the gates and sites at eps0, eps1 = (s -+ d)/2."""
+    zero = _Poly({(0, 0, 0): 0.5, (1, 0, 0): 0.5})
+    probs = [1.0]
+    for _ in range(circuit.width):
+        probs = [x * zero for x in probs] + [x * (1.0 - zero) for x in probs]
+    s, d = _Poly({(0, 1, 0): 0.5}), _Poly({(0, 0, 1): 0.5})  # s/2 and d/2
+    rates = SimpleNamespace(eps0=s - d, eps1=s + d)  # not ErrorRates, which takes floats
+    return circuit.run_with_channels(NarrowRegister(probs), rates).marginal_bias(0)
 
 
+# during: the Toffoli majority with its 7 sites; after: its gates, one site on bit 0 at the end
+_CIRCUITS = {True: majority_circuit_toffoli(),
+             False: Circuit(3, (cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0)), ((3, 0),))}
 _Record = NamedTuple("_Record", [("rows", tuple), ("second_order", tuple), ("limit", tuple)])
 
 
@@ -164,39 +156,37 @@ def _derivation(during: bool) -> _Record:
     highest first, the coefficients of its polynomial in t, highest first.
     second_order: the update's terms of total degree at most 2 in (s, d), for
     each b^m as (coefficient, i, j) terms of s^i d^j in evaluation order.
-    limit: the bias limit's coefficients of s, d, s^2, sd, d^2. The second-
-    order half is in floats, exactly: its coefficients are few-bit dyadics.
+    limit: the bias limit's coefficients of s, d, s^2, sd, d^2.
     """
-    shift, forms = _update_form(during)
+    form = _update_form(_CIRCUITS[during])
+    forms = [_Poly({(0, i, j): c for (n, i, j), c in form.items() if n == m}) for m in range(4)]
     rows = []
-    for form in forms:
+    for a in forms:
         in_td: dict = {}
-        for (i, j), n in form.items():
+        for (_, i, j), c in a.items():
             for k in range(i + 1):  # s^i = (1 - t)^i
-                in_td[k, j] = in_td.get((k, j), 0) + (-1) ** k * math.comb(i, k) * n
+                in_td[k, j] = in_td.get((k, j), 0.0) + (-1) ** k * math.comb(i, k) * c
         top: dict = {}  # the highest power of t at each power of d, written last
-        for i, j in sorted(key for key, n in in_td.items() if n):
+        for i, j in sorted(key for key, c in in_td.items() if c):
             top[j] = i
-        rows.append(tuple(tuple(math.ldexp(in_td.get((i, j), 0), -shift)
-                                for i in range(top.get(j, -1), -1, -1))
+        rows.append(tuple(tuple(in_td.get((i, j), 0.0) for i in range(top.get(j, -1), -1, -1))
                           for j in range(max(top, default=0), -1, -1)))
-    update = [{key: math.ldexp(n, -shift) for key, n in form.items() if sum(key) <= 2}
-              for form in forms]
-    # b <- update(b) from b = 1: the update's b-slope at 1 is 0 when s = d = 0,
-    # so each pass fixes one more order of the limit
-    b: dict = {(0, 0): 1.0}
+    second = lambda p: _Poly({key: c for key, c in p.items() if key[1] + key[2] <= 2})
+    update = [second(a) for a in forms]
+    # b <- update(b) from b = 1, by Horner's rule in b: the update's b-slope at
+    # 1 is 0 when s = d = 0, so each pass fixes one more order of the limit
+    b = 1.0
     for _ in range(2):
-        value, power = {}, {(0, 0): 1.0}
-        for a in update:
-            _add_product(value, a, power)
-            power = _add_product({}, power, b)
+        value = 0.0
+        for a in reversed(update):
+            value = second(value * b + a)
         b = value
     # each b^m coefficient sums its pure-s terms, then its pure-d ones, then the mixed
-    order = lambda key: (0 if key[1] == 0 else 1 if key[0] == 0 else 2, sum(key))
+    order = lambda key: (0 if key[2] == 0 else 1 if key[1] == 0 else 2, sum(key))
     return _Record(
         tuple(rows),
-        tuple(tuple((a[key], *key) for key in sorted(a, key=order)) for a in update),
-        tuple(b.get(key, 0.0) for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))))
+        tuple(tuple((a[key], *key[1:]) for key in sorted(a, key=order)) for a in update),
+        tuple(b.get(key, 0.0) for key in ((0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))))
 
 
 def _circuit_map(during: bool, rates: ErrorRates) -> Callable[[float], float]:

@@ -4,8 +4,9 @@
 (input state) x (error pattern) combination, with per-site flip
 probabilities that may depend on the bit's value at the site (the
 asymmetric channel). No sampling is involved. No production path calls
-it: `limits` derives each majority circuit's exact update by its own
-push through the gates and sites. It stays in the package because it
+it: `limits` derives each majority circuit's exact update by the
+register's push, `Circuit.run_with_channels` on exact polynomial
+weights. It stays in the package because it
 takes any circuit, per-bit input biases and any output bit, and so
 checks every noisy bias update here by a route that shares nothing with
 the derivation; the README's example calls it.

@@ -412,6 +412,21 @@ class TestEfficiency:
         error = json.loads(out)["error"]
         assert limit in error and "float maximum" in error
 
+    def test_approx_bias_above_1_is_flagged(self, capsys):
+        argv = ("efficiency", "--algorithm", "fibonacci", "--mode", "approx",
+                "--bi", "0.4", "--target", "0.9")
+        rec = run_json(capsys, *argv)
+        assert rec["final_bias"] == 1.2000000000000002
+        assert rec["stats"]["warnings"] == [
+            "final_bias 1.2000000000000002 is above 1: "
+            "the linear regime's b_i * F(n) is not a bias here"]
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("warning: ")] == [
+            "warning: " + rec["stats"]["warnings"][0]]
+        rec = run_json(capsys, *argv[:-3], "1e-5", "--target", "0.1")
+        assert rec["final_bias"] <= 1.0 and "warnings" not in rec["stats"]
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_bound_fuzz_needs_a_trial(self, capsys, trials):
         code, out = run_cli(capsys, "efficiency", "--algorithm", "bound-fuzz",
@@ -628,6 +643,17 @@ class TestTape:
         assert phases["routing"] == phases["unrouting"] > 0
         assert sum(phases.values()) == sum(kinds.values()) == rec["pulses"]
         assert set(kinds) == {"SWAP_AB", "SWAP_BC", "SWAP_AC", "HEAD"}
+
+    @pytest.mark.parametrize("m, bits, error", [
+        ("-1", "", "need an odd number of triples, got m=-1"),
+        ("2", "000000", "need an odd number of triples, got m=2"),
+        ("3", "0000", "need 9 bits, got 4"),
+    ], ids=["negative-m", "even-m", "wrong-bit-count"])
+    def test_loop_checks_m_before_the_bit_count(self, capsys, m, bits, error):
+        code, out = run_cli(capsys, "tape", "--m", m, "--bits", bits,
+                            "--action", "shift", "--fixed", "A")
+        assert code == 1
+        assert json.loads(out) == {"error": error}
 
     def test_cool_needs_three_positions(self, capsys):
         code, out = run_cli(capsys, "tape", "--m", "3", "--bits", "000110000",

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -158,6 +159,23 @@ class TestFibonacciBoundCheck:
         report = random_hb_trace_check(trials=20, max_bits=2000, seed=0)
         assert report["violations"] == 0 and report["checks"] > 0
 
+    @pytest.mark.parametrize("b_i", [0.0, 1e-310], ids=["zero", "subnormal"])
+    def test_tiny_bath_bias_past_float_fibonacci(self, b_i):
+        # b_i * F(j) is still below 1 at j = 1477, where F(j) outgrows a float
+        assert fibonacci_bound_check(RegisterBiases([0.0] * 2000, b_i)).passed
+
+    def test_zero_bath_bias_gives_the_witness_at_its_sorted_position(self):
+        # at b_i = 0 every bound is 0, so the one positive bias breaches it
+        check = fibonacci_bound_check(RegisterBiases([0.0] * 7 + [0.3] + [0.0] * 1992, 0.0))
+        assert (check.passed, check.witness_index, check.witness_value, check.bound) == (
+            False, 2000, 0.3, 0.0)
+
+    def test_bound_past_float_fibonacci_numbers(self):
+        # F(1480) is past the float maximum; b_i * F(1480) is about 0.089
+        check = fibonacci_bound_check(RegisterBiases([0.0] * 1479 + [0.5], 1e-310))
+        assert (check.passed, check.witness_index) == (False, 1480)
+        assert check.bound == pytest.approx(float(fibonacci(1480) * Fraction(1e-310)), rel=1e-15)
+
     def test_fuzz_traces_never_violate(self):
         report = random_hb_trace_check(trials=2000, max_bits=8, seed=7)
         assert report["violations"] == 0
@@ -191,6 +209,14 @@ class TestFibonacciAlgorithm:
     def test_approx_register_sizes(self):
         assert fibonacci_algorithm(1e-5, 0.1, mode="approx").stats["n"] == 21
         assert fibonacci_algorithm(1e-5, 0.9999, mode="approx").stats["n"] == 26
+
+    def test_approx_bias_above_1_carries_a_warning(self):
+        # the linear regime's last b_i * F(n) passes the target, and here 1
+        r = fibonacci_algorithm(0.4, 0.9, mode="approx")
+        assert r.stats["sequence"] == [0.4, 0.4, 0.8, 1.2000000000000002]
+        assert r.stats["warnings"] == ["final_bias 1.2000000000000002 is above 1: "
+                                       "the linear regime's b_i * F(n) is not a bias here"]
+        assert "warnings" not in fibonacci_algorithm(1e-5, 0.1, mode="approx").stats
 
     def test_exact_register_sizes(self):
         assert fibonacci_algorithm(1e-5, 0.1, mode="exact").stats["n"] == 21

@@ -15,7 +15,7 @@ import pytest
 
 from hbcool import limits, noise
 from hbcool.bias import ErrorRates, three_bc_bias
-from hbcool.circuits import Circuit, majority_circuit_toffoli
+from hbcool.circuits import Circuit, majority_circuit_cswap, majority_circuit_toffoli
 from hbcool.cooling import run_with_noise
 from hbcool.limits import (
     ASYM_AFTER,
@@ -114,8 +114,14 @@ def poly_power(p, n):
     return out
 
 
-# noise sites per circuit: the Toffoli majority's 7 during, one after the last gate
-SITE_COUNTS = {True: len(majority_circuit_toffoli().noise_sites), False: 1}
+def derivation_circuit(during):
+    """The Toffoli majority with its 7 sites (during), or its gates with one
+    site on bit 0 after the last gate (after)."""
+    circuit = majority_circuit_toffoli()
+    return circuit if during else Circuit(3, circuit.gates, ((len(circuit.gates), 0),))
+
+
+SITE_COUNTS = {during: len(derivation_circuit(during).noise_sites) for during in (True, False)}
 
 
 @functools.cache
@@ -430,14 +436,32 @@ class TestAsymmetricDuring:
 class TestDerivedUpdate:
     @pytest.mark.parametrize("during", [True, False], ids=["during", "after"])
     def test_update_form_is_the_interpolated_circuit_update(self, during):
-        shift, forms = limits._update_form(during)
-        sites = SITE_COUNTS[during]
-        assert shift == 2 + sites
-        assert all(type(n) is int and n and i + j <= sites
-                   for form in forms for (i, j), n in form.items())
-        derived = {(m, i, j): Fraction(n, 1 << shift)
-                   for m, form in enumerate(forms) for (i, j), n in form.items()}
-        assert derived == exact_update_coefficients(during)
+        assert limits._CIRCUITS[during] == derivation_circuit(during)
+        form = limits._update_form(derivation_circuit(during))
+        assert all(type(c) is float and c and i + j <= SITE_COUNTS[during]
+                   for (m, i, j), c in form.items())
+        assert {key: Fraction(c) for key, c in form.items()} == exact_update_coefficients(during)
+
+    def test_cswap_majority_with_every_site_matches_the_enumerator(self):
+        # a site after every gate on every bit: 12 sites, none of them built in
+        gates = majority_circuit_cswap().gates
+        circuit = Circuit(3, gates, tuple((pos, bit) for pos in range(1, len(gates) + 1)
+                                          for bit in range(3)))
+        form = limits._update_form(circuit)
+        assert all(i + j <= 12 for _, i, j in form)
+        rng = random.Random(27)
+        for _ in range(20):
+            rates = ErrorRates(rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5))
+            b = rng.uniform(-1.0, 1.0)
+            got = sum(c * b**m * rates.s**i * rates.d**j for (m, i, j), c in form.items())
+            assert got == pytest.approx(noise.enumerate_noisy_output_bias(circuit, b, rates),
+                                        abs=1e-14)
+
+    def test_sites_that_cannot_reach_bit_0_leave_the_form_unchanged(self):
+        # flips on bits 1 and 2 after the final Toffoli
+        circuit = majority_circuit_toffoli()
+        nine = Circuit(3, circuit.gates, circuit.noise_sites + ((3, 1), (3, 2)))
+        assert limits._update_form(nine) == limits._update_form(circuit)
 
 
 class TestDerivedSecondOrderForms:
@@ -561,11 +585,10 @@ def exact_circuit_update(during: bool, rates: ErrorRates, b: float) -> Fraction:
     """The majority circuit's output bias at exactly these rates and input bias.
 
     The product input distribution is pushed through the gates and noise
-    sites in Fractions, state by state; the during circuit has the Toffoli
-    majority's 7 sites, the after circuit one site on bit 0 after the last gate.
+    sites of `derivation_circuit(during)` in Fractions, state by state.
     """
-    circuit = majority_circuit_toffoli()
-    sites = circuit.noise_sites if during else ((len(circuit.gates), 0),)
+    circuit = derivation_circuit(during)
+    sites = circuit.noise_sites
     flip = (Fraction(rates.eps0), Fraction(rates.eps1))
     p = (1 + Fraction(b)) / 2
     dist = {x: math.prod(1 - p if x >> i & 1 else p for i in range(3)) for x in range(8)}
