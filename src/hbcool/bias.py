@@ -121,13 +121,6 @@ class ErrorRates:
     def d(self) -> float:
         return self.eps1 - self.eps0
 
-    @property
-    def fixed_point_bias(self) -> float:
-        """d/s, the bias the channel relaxes toward (requires s > 0)."""
-        if self.s == 0.0:
-            raise ValueError("noiseless channel has no unique fixed point")
-        return self.d / self.s
-
 
 def debias_step(b: float, rates: ErrorRates) -> float:
     """One application of the asymmetric bit-flip channel: b(1-s) + d.

@@ -1,12 +1,16 @@
 """Classical reversible gates, circuits, and exact distribution propagation.
 
 Gates act as permutations of basis states; every supported gate is an
-involution. On a register viewed as an array of shape (2,) * n, where
-axis n-1-k is bit k, a gate exchanges two slices inside its control
-slice: NOT, CNOT and TOFFOLI exchange target = 0 with target = 1, SWAP
-and CSWAP exchange (a=0, b=1) with (a=1, b=0). Circuits may carry noise
-sites, pairs (pos, bit) meaning "a bit-flip may occur on `bit` after
-the first `pos` gates have been applied" (pos ranges 0..len(gates)).
+involution. Circuits may carry noise sites, pairs (pos, bit) meaning "a
+bit-flip may occur on `bit` after the first `pos` gates have been
+applied" (pos ranges 0..len(gates)).
+
+A register holds the entries `probs` of its 2^width basis states (bit 0
+is the least significant bit of the index) and runs its own kernels:
+`NarrowRegister` here, a list for at most 3 bits, and
+`distribution.JointDistribution` on numpy. Both are a `_Register`;
+`apply_gate` checks the width and calls the register's gate kernel.
+This module imports no numpy.
 
 Circuits serialize to a line-oriented text format, one gate per line:
 
@@ -19,26 +23,14 @@ Circuits serialize to a line-oriented text format, one gate per line:
 
 Targets are bare indices; controls are written bit:value. NOISE lines
 list the noise sites as `NOISE pos bit`.
-
-This module does not import numpy: gates, circuits, text, basis-state
-runs and `NarrowRegister`, a register of at most 3 bits as a list of
-floats, are pure Python, and only a distribution handed to `apply_gate`
-brings the numpy-backed register with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .bias import ErrorRates, prob_from_bias
-
-if TYPE_CHECKING:
-    from typing import TypeAlias
-
-    from .distribution import JointDistribution
-
-    Register: TypeAlias = "JointDistribution | NarrowRegister"
+from .bias import ErrorRates
 
 __all__ = [
     "Gate", "Circuit",
@@ -125,33 +117,34 @@ def cswap(a: int, b: int, control: int, value: int = 1) -> Gate:
     return Gate(CSWAP, (a, b), ((control, value),))
 
 
-def apply_gate(dist: Register, gate: Gate) -> Register:
-    """Push a distribution (a `JointDistribution` or a `NarrowRegister`)
-    through a gate; total probability is preserved."""
-    n = dist.width
-    if gate.max_index >= n:
-        raise ValueError(f"gate touches bit {gate.max_index}, register width {n}")
-    if isinstance(dist, NarrowRegister):
-        return NarrowRegister([dist.probs[gate.apply_to_state(x)] for x in range(1 << n)])
-    lo: list = [slice(None)] * n
-    for bit, val in gate.controls:
-        lo[n - 1 - bit] = val
-    hi = list(lo)
-    for k, bit in enumerate(gate.targets):
-        lo[n - 1 - bit], hi[n - 1 - bit] = (1, 0) if k else (0, 1)
-    src = dist.probs.reshape((2,) * n)
-    out = src.copy()
-    out[tuple(lo)], out[tuple(hi)] = src[tuple(hi)], src[tuple(lo)]
-    return type(dist)(out.reshape(-1), validate=False)
+class _Register:
+    """Shared by every register: the bit checks and `marginal_bias`, 2 P(bit = 0) - 1."""
+
+    __slots__ = ("width", "probs")
+
+    def _check(self, bit: int, value: int = 0) -> None:
+        if not (0 <= bit < self.width):
+            raise ValueError(f"bit index {bit} out of range for width {self.width}")
+        if value not in (0, 1):
+            raise ValueError(f"bit value must be 0 or 1, got {value!r}")
+
+    def marginal_bias(self, bit: int) -> float:
+        return 2.0 * self.prob_bit_is(bit, 0) - 1.0
+
+
+def apply_gate(dist: _Register, gate: Gate) -> _Register:
+    """Push a register through a gate by its own kernel; total probability is kept."""
+    if gate.max_index >= dist.width:
+        raise ValueError(f"gate touches bit {gate.max_index}, register width {dist.width}")
+    return dist.apply_gate(gate)
 
 
 NARROW_WIDTH = 3  # widest register `NarrowRegister` holds
 
 
-class NarrowRegister:
+class NarrowRegister(_Register):
     """A register of at most `NARROW_WIDTH` bits as a list of its 2^width
-    basis-state probabilities, with the methods of `JointDistribution` that
-    circuits and the `simulate` command call, and bit for bit its results.
+    basis-state probabilities, with `JointDistribution`'s kernels, bit for bit.
 
     The push is generic over the entry type: `limits` pushes exact
     polynomial weights through it. For float entries, each takes the float
@@ -163,25 +156,19 @@ class NarrowRegister:
     sums with eight accumulators, hence the 3-bit limit.
     """
 
-    __slots__ = ("width", "probs")
+    __slots__ = ()
 
     def __init__(self, probs: list[float]):
         self.width = len(probs).bit_length() - 1
         self.probs = probs
 
     @classmethod
-    def product(cls, biases: Iterable[float]) -> "NarrowRegister":
-        """Independent product state: bit i reads 0 with probability (1 + b_i)/2."""
+    def product(cls, zeros: Iterable[float]) -> "NarrowRegister":
+        """Independent product state: bit i reads 0 with weight zeros[i]."""
         probs = [1.0]
-        for p in [prob_from_bias(b) for b in biases]:
+        for p in zeros:
             probs = [x * p for x in probs] + [x * (1.0 - p) for x in probs]
         return cls(probs)
-
-    def _check(self, bit: int, value: int = 0) -> None:
-        if not (0 <= bit < self.width):
-            raise ValueError(f"bit index {bit} out of range for width {self.width}")
-        if value not in (0, 1):
-            raise ValueError(f"bit value must be 0 or 1, got {value!r}")
 
     def prob_bit_is(self, bit: int, value: int) -> float:
         self._check(bit, value)
@@ -191,8 +178,8 @@ class NarrowRegister:
                 total += p
         return total
 
-    def marginal_bias(self, bit: int) -> float:
-        return 2.0 * self.prob_bit_is(bit, 0) - 1.0
+    def apply_gate(self, gate: Gate) -> "NarrowRegister":
+        return NarrowRegister([self.probs[gate.apply_to_state(x)] for x in range(1 << self.width)])
 
     def apply_bitflip_channel(self, bit: int, rates: ErrorRates) -> "NarrowRegister":
         self._check(bit)
@@ -236,13 +223,13 @@ class Circuit:
             x = g.apply_to_state(x)
         return x
 
-    def run(self, dist: Register) -> Register:
+    def run(self, dist: _Register) -> _Register:
         """Propagate a distribution through all gates (noise sites ignored)."""
         for g in self.gates:
             dist = apply_gate(dist, g)
         return dist
 
-    def run_with_channels(self, dist: Register, rates: ErrorRates) -> Register:
+    def run_with_channels(self, dist: _Register, rates: ErrorRates) -> _Register:
         """Propagate with an independent bit-flip channel at every noise site."""
         by_pos: dict[int, list[int]] = {}
         for pos, bit in self.noise_sites:

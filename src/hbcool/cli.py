@@ -75,9 +75,14 @@ def _parse_rates(args, required: bool = True) -> ErrorRates | None:
 _RATE_FLAGS = ("eps", "eps0", "eps1", "s", "d")
 
 
+def _given(args, names) -> dict:
+    """The named flags the user gave, by name, so library defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _reject_flags(args, names, context: str) -> None:
     """Raise if any of the named flags was given: they would be ignored."""
-    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    given = [f"--{name.replace('_', '-')}" for name in _given(args, names)]
     if given:
         raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} "
                          f"not apply {context}")
@@ -160,10 +165,14 @@ def _cmd_update(args) -> tuple[object, str]:
         else:
             record["order"] = args.order or "exact"
             mode = "second_order" if args.order == "second" else "exact"
-            record["result"] = limits.newbias_asym_during(args.bias, rates, mode=mode)
+            result = record["result"] = limits.newbias_asym_during(args.bias, rates, mode=mode)
+            if mode == "second_order" and not -1.0 <= result <= 1.0:
+                record["warnings"] = [f"second-order result {result!r} is outside [-1, 1]: "
+                                      "the small-rate expansion does not apply at these rates"]
     else:
         raise ValueError(f"unknown rule {rule!r}")
     text = f"{rule} -> {_fmt_float(record['result'])}"
+    text += "".join(f"\nwarning: {w}" for w in record.get("warnings", ()))
     return record, text
 
 
@@ -193,8 +202,8 @@ def _cmd_table(args) -> tuple[object, str]:
     return rows, text
 
 
-# the bound fuzzer's own flags and their defaults; the schedules take none of them
-_FUZZ_DEFAULTS = {"trials": 10000, "max_bits": 8, "max_ops": 20, "seed": 0}
+# the bound fuzzer's own flags; the schedules take none of them
+_FUZZ_FLAGS = ("trials", "max_bits", "max_ops", "seed")
 
 
 def _cmd_efficiency(args) -> tuple[object, str]:
@@ -203,18 +212,16 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     if args.algorithm == "bound-fuzz":
         _reject_flags(args, ("bi", "target", "mode", "tol", "trace", "noise_model")
                       + _RATE_FLAGS, "to bound-fuzz")
-        report = cooling.random_hb_trace_check(**{
-            name: default if getattr(args, name) is None else getattr(args, name)
-            for name, default in _FUZZ_DEFAULTS.items()})
+        report = cooling.random_hb_trace_check(**_given(args, _FUZZ_FLAGS))
         return report, (f"bound-fuzz: {report['violations']} violations "
                         f"in {report['trials']} trials (seed {report['seed']})")
-    _reject_flags(args, tuple(_FUZZ_DEFAULTS), f"to the {args.algorithm} schedule")
+    _reject_flags(args, _FUZZ_FLAGS, f"to the {args.algorithm} schedule")
     if args.trace and args.format != "json":
         raise ValueError(f"--format {args.format} does not apply to --trace")
     if args.bi is None or args.target is None:
         raise ValueError("--bi and --target are required")
     mode = "exact" if args.mode is None else args.mode
-    tol = 1e-12 if args.tol is None else args.tol
+    given_tol = _given(args, ("tol",))  # the schedules' own default applies without --tol
     if args.noise_model is None:
         _reject_flags(args, _RATE_FLAGS, "without --noise-model")
         if args.algorithm in ("simple", "heatbath"):
@@ -231,7 +238,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
         if name is None:
             raise ValueError(f"noisy runs support simple/fibonacci, not {args.algorithm!r}")
         result = cooling.run_with_noise(name, args.bi, args.target, rates,
-                                        model=args.noise_model, tol=tol)
+                                        model=args.noise_model, **given_tol)
     elif args.algorithm == "simple":
         result = cooling.simple_recursive(args.bi, args.target, mode=mode)
     elif args.algorithm == "heatbath":
@@ -239,7 +246,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
             raise ValueError("heatbath runs are exact; --mode approx does not apply")
         result = cooling.heatbath_recursive(args.bi, args.target)
     elif args.algorithm == "fibonacci":
-        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=mode, tol=tol)
+        result = cooling.fibonacci_algorithm(args.bi, args.target, mode=mode, **given_tol)
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
     if args.trace:
@@ -311,7 +318,7 @@ def _cmd_simulate(args) -> tuple[object, str]:
             raise ValueError("circuit has no noise sites; rates are meaningless")
         record.update(eps0=rates.eps0, eps1=rates.eps1)
     if circuit.width <= circuits.NARROW_WIDTH:
-        start = circuits.NarrowRegister.product(biases)
+        start = circuits.NarrowRegister.product([bias_mod.prob_from_bias(b) for b in biases])
     else:
         from .distribution import product_distribution  # loads numpy: only wide registers need it
 

@@ -85,6 +85,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _flat_gain_depth(b_i: float, b_t: float) -> float:
+    """k = log_{3/2}(b_t / b_i); the logs are subtracted only where the ratio overflows."""
+    ratio = b_t / b_i
+    return (math.log(ratio) if ratio < math.inf else math.log(b_t) - math.log(b_i)) / math.log(1.5)
+
+
 def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
     return {
         "step": step,
@@ -164,7 +170,7 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
     """
     _check_targets(b_i, b_t)
     if mode == "approx":
-        k = math.log(b_t / b_i) / math.log(1.5)
+        k = _flat_gain_depth(b_i, b_t)
         try:
             bits = 3.0**k
         except OverflowError:
@@ -208,7 +214,7 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
             pool -= t
         m -= 2  # the two sub-target leftovers are dropped
         trace.append(_trace_entry(lvl, "heatbath-level", None, [bias], ledger))
-    k_approx = math.log(b_t / b_i) / math.log(1.5)
+    k_approx = _flat_gain_depth(b_i, b_t)
     stats = {
         "k": k_approx,
         "bits_2k": 2.0 * k_approx,
@@ -279,7 +285,7 @@ def fibonacci_bound_check(state: RegisterBiases) -> BoundCheck:
     return BoundCheck(True)
 
 
-def random_hb_trace_check(trials: int, max_bits: int = 8, seed: int = 0,
+def random_hb_trace_check(trials: int = 10000, max_bits: int = 8, seed: int = 0,
                           max_ops: int = 20) -> dict:
     """Fuzz: random compress-and-reset traces never breach the Fibonacci bound.
 

@@ -3,6 +3,10 @@
 A register of n bits (n <= 20) is represented by the full vector of
 2^n basis-state probabilities. Bit 0 is the least significant bit of
 the state index; this ordering is fixed throughout the package.
+`JointDistribution` is a `circuits._Register`, and only this module knows
+its layout. A gate exchanges two slices of the (2,) * n view, where axis
+n-1-k is bit k, inside its control slice: target = 0 with target = 1, or
+for SWAP and CSWAP, (a=0, b=1) with (a=1, b=0).
 
 Run views. For bit k the vector is a sequence of runs of 2^k floats in
 which bit k is constant, alternating 0, 1, 0, 1, ... `_runs` views the
@@ -40,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .bias import ErrorRates, prob_from_bias
-from .circuits import MAX_WIDTH
+from .circuits import MAX_WIDTH, Gate, _Register
 
 __all__ = ["MAX_WIDTH", "JointDistribution", "product_distribution"]
 
@@ -75,10 +79,10 @@ def _pairwise(parts: np.ndarray) -> float:
     return float(parts[0])
 
 
-class JointDistribution:
+class JointDistribution(_Register):
     """Probability vector over the 2^width basis states of a bit register."""
 
-    __slots__ = ("width", "probs")
+    __slots__ = ()
 
     def __init__(self, probs: Sequence[float] | np.ndarray, validate: bool = True):
         arr = np.asarray(probs, dtype=np.float64)
@@ -96,15 +100,6 @@ class JointDistribution:
                 raise ValueError("probabilities must sum to 1 within 1e-12")
         self.width = width
         self.probs = arr if arr.flags.c_contiguous else arr.copy()
-
-    def copy(self) -> "JointDistribution":
-        return JointDistribution(self.probs.copy(), validate=False)
-
-    def _check(self, bit: int, value: int = 0) -> None:
-        if not (0 <= bit < self.width):
-            raise ValueError(f"bit index {bit} out of range for width {self.width}")
-        if value not in (0, 1):
-            raise ValueError(f"bit value must be 0 or 1, got {value!r}")
 
     def prob_bit_is(self, bit: int, value: int) -> float:
         """Marginal probability that the given bit reads `value` (0 or 1)."""
@@ -126,9 +121,19 @@ class JointDistribution:
             parts[i] = piece.sum()
         return _pairwise(parts)
 
-    def marginal_bias(self, bit: int) -> float:
-        """2 * P(bit = 0) - 1."""
-        return 2.0 * self.prob_bit_is(bit, 0) - 1.0
+    def apply_gate(self, gate: Gate) -> "JointDistribution":
+        """Exchange the gate's two slices of the (2,) * n view."""
+        n = self.width
+        lo: list = [slice(None)] * n
+        for bit, val in gate.controls:
+            lo[n - 1 - bit] = val
+        hi = list(lo)
+        for k, bit in enumerate(gate.targets):
+            lo[n - 1 - bit], hi[n - 1 - bit] = (1, 0) if k else (0, 1)
+        src = self.probs.reshape((2,) * n)
+        out = src.copy()
+        out[tuple(lo)], out[tuple(hi)] = src[tuple(hi)], src[tuple(lo)]
+        return type(self)(out.reshape(-1), validate=False)
 
     def apply_bitflip_channel(self, bit: int, rates: ErrorRates) -> "JointDistribution":
         """Mix the selected bit through an asymmetric bit-flip channel.
@@ -179,11 +184,6 @@ class JointDistribution:
         out = np.zeros(self.probs.size)
         np.divide(view[:, v], p, out=out.reshape(view.shape)[:, v])
         return JointDistribution(out, validate=False), p
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, JointDistribution)
-                and self.width == other.width
-                and np.array_equal(self.probs, other.probs))
 
     def __repr__(self) -> str:
         return f"JointDistribution(width={self.width})"

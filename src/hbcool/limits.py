@@ -19,7 +19,7 @@ after models the same gates with one site on bit 0 after the last gate,
 and the symmetric models are the s = 2 eps, d = 0 slice of the
 asymmetric ones. Each circuit's update is a cubic in the input bias b,
 derived by the register's own push, `Circuit.run_with_channels` on a
-`NarrowRegister` whose weights are exact polynomials in (b, s, d). One cached
+`NarrowRegister.product` of exact polynomial weights in (b, s, d). One cached
 record per circuit, built from that push on first use, holds what every
 model reads: the b^m coefficients a_0..a_3 re-expanded in t = 1 - s and
 d as Horner rows, accurate up to s near 1, and, truncated to degree 2,
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional
 
 from .bias import ErrorRates
-from .circuits import Circuit, NarrowRegister, cnot, majority_circuit_toffoli, toffoli
+from .circuits import Circuit, NarrowRegister, majority_circuit_toffoli
 # bound here so the benchmark's traced run can wrap them as hbcool.limits.<name>
 from .bias import three_bc_bias  # noqa: F401
 from .noise import enumerate_noisy_output_bias  # noqa: F401
@@ -133,18 +133,15 @@ def _update_form(circuit: Circuit) -> _Poly:
     """A 3-bit circuit's exact update of bit 0, as a _Poly in (b, s, d): the
     register's own push of _Poly weights, each bit reading 0 with weight
     (1 + b)/2, through the gates and sites at eps0, eps1 = (s -+ d)/2."""
-    zero = _Poly({(0, 0, 0): 0.5, (1, 0, 0): 0.5})
-    probs = [1.0]
-    for _ in range(circuit.width):
-        probs = [x * zero for x in probs] + [x * (1.0 - zero) for x in probs]
+    start = NarrowRegister.product([_Poly({(0, 0, 0): 0.5, (1, 0, 0): 0.5})] * circuit.width)
     s, d = _Poly({(0, 1, 0): 0.5}), _Poly({(0, 0, 1): 0.5})  # s/2 and d/2
     rates = SimpleNamespace(eps0=s - d, eps1=s + d)  # not ErrorRates, which takes floats
-    return circuit.run_with_channels(NarrowRegister(probs), rates).marginal_bias(0)
+    return circuit.run_with_channels(start, rates).marginal_bias(0)
 
 
 # during: the Toffoli majority with its 7 sites; after: its gates, one site on bit 0 at the end
 _CIRCUITS = {True: majority_circuit_toffoli(),
-             False: Circuit(3, (cnot(0, 1), cnot(0, 2), toffoli(1, 2, 0)), ((3, 0),))}
+             False: Circuit(3, majority_circuit_toffoli().gates, ((3, 0),))}
 _Record = NamedTuple("_Record", [("rows", tuple), ("second_order", tuple), ("limit", tuple)])
 
 

@@ -164,7 +164,7 @@ class TestDebiasChannel:
 
     def test_exact_contraction(self):
         rates = ErrorRates.from_sd(0.2, 0.1)
-        center = rates.fixed_point_bias
+        center = rates.d / rates.s
         for b in (-0.5, 0.0, 0.3, 0.9):
             lhs = abs(debias_step(b, rates) - center)
             assert lhs == pytest.approx((1 - rates.s) * abs(b - center), abs=1e-15)

@@ -6,7 +6,7 @@ from itertools import cycle, permutations, product
 import numpy as np
 import pytest
 
-from hbcool.bias import three_bc_bias
+from hbcool.bias import prob_from_bias, three_bc_bias
 from hbcool.circuits import (
     NARROW_WIDTH,
     Circuit,
@@ -297,7 +297,8 @@ class TestNarrowRegisterAgainstJointDistribution:
                           if rng.random() < 0.5)
             circuit = Circuit(width, gates, sites)
             biases = [rng.choice((1.0, -1.0, 0.0, rng.uniform(-1.0, 1.0))) for _ in range(width)]
-            narrow, wide = NarrowRegister.product(biases), product_distribution(biases)
+            narrow = NarrowRegister.product([prob_from_bias(b) for b in biases])
+            wide = product_distribution(biases)
             _same_register(narrow, wide)
             eps0, eps1 = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
             for rates in (None, ErrorRates(eps0, eps1), ErrorRates(0.0, eps1)):
@@ -325,9 +326,10 @@ class TestNarrowRegisterAgainstJointDistribution:
         assert zero_events > 0
 
     def test_product_rejects_a_bias_outside_the_interval(self):
+        # simulate's narrow path: each bias is range-checked as it becomes a weight
         for biases in ([0.5, 1.5], [float("nan")]):
             with pytest.raises(ValueError) as narrow:
-                NarrowRegister.product(biases)
+                NarrowRegister.product([prob_from_bias(b) for b in biases])
             with pytest.raises(ValueError) as wide:
                 product_distribution(biases)
             assert str(narrow.value) == str(wide.value)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -12,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import hbcool
-from hbcool import distribution
+from hbcool import cooling, distribution
 from hbcool.bias import ErrorRates, debias_step
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
-from hbcool.cli import main
+from hbcool.cli import build_parser, main
 from hbcool.cooling import run_with_noise
 from hbcool.distribution import product_distribution
 from hbcool.noise import enumerate_noisy_output_bias
@@ -113,6 +114,18 @@ class TestUpdate:
         rec = run_json(capsys, "update", "--rule", "asym-during", "--bias", "0.5",
                        "--s", "0.02", "--d", "0.01", "--order", "second")
         assert rec["order"] == "second"
+
+    def test_second_order_outside_the_interval_is_a_warning_field(self, capsys):
+        argv = ("update", "--rule", "asym-during", "--bias", "0.5", "--s", "0.9", "--d", "0")
+        rec = run_json(capsys, *argv, "--order", "second")
+        assert rec["result"] == 1.413125
+        assert rec["warnings"] == ["second-order result 1.413125 is outside [-1, 1]: "
+                                   "the small-rate expansion does not apply at these rates"]
+        _, text = run_cli(capsys, *argv, "--order", "second", "--format", "text")
+        assert text.splitlines() == ["asym-during -> 1.413125", f"warning: {rec['warnings'][0]}"]
+        assert "warnings" not in run_json(capsys, *argv)
+        assert "warnings" not in run_json(capsys, *argv[:-4], "--s", "0.02", "--d", "0.01",
+                                          "--order", "second")
 
     def test_asym_during_order_defaults_to_exact(self, capsys):
         argv = ("update", "--rule", "asym-during", "--bias", "0.5", "--s", "0.02", "--d", "0.01")
@@ -426,6 +439,41 @@ class TestEfficiency:
             "warning: " + rec["stats"]["warnings"][0]]
         rec = run_json(capsys, *argv[:-3], "1e-5", "--target", "0.1")
         assert rec["final_bias"] <= 1.0 and "warnings" not in rec["stats"]
+
+    def test_heatbath_at_a_subnormal_initial_bias(self, capsys):
+        rec = run_json(capsys, "efficiency", "--algorithm", "heatbath", "--bi", "1e-320",
+                       "--target", "0.5")
+        assert rec["stats"]["k"] == pytest.approx(1815.53, abs=0.005)
+
+    def test_simple_approx_at_a_subnormal_initial_bias(self, capsys):
+        code, out = run_cli(capsys, "efficiency", "--algorithm", "simple", "--bi", "5e-324",
+                            "--target", "0.5", "--mode", "approx")
+        assert code == 1
+        assert "3**k starting bits pass the float maximum" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("name, argv, forwarded", [
+        ("random_hb_trace_check", ("--algorithm", "bound-fuzz", "--trials", "5", "--max-ops", "3"),
+         {"trials": 5, "max_ops": 3}),
+        ("fibonacci_algorithm", ("--algorithm", "fibonacci", "--bi", "0.1", "--target", "0.5"),
+         {"mode": "exact"}),
+        ("fibonacci_algorithm", ("--algorithm", "fibonacci", "--bi", "0.1", "--target", "0.5",
+                                 "--tol", "1e-9"), {"mode": "exact", "tol": 1e-9}),
+    ], ids=["bound-fuzz", "fibonacci", "fibonacci-tol"])
+    def test_forwards_only_the_flags_given(self, capsys, monkeypatch, name, argv, forwarded):
+        calls, real = [], getattr(cooling, name)
+        monkeypatch.setattr(cooling, name, lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        run_json(capsys, "efficiency", *argv)
+        assert calls == [forwarded]
+
+    def test_help_states_the_library_defaults(self):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        helps = {a.dest: a.help for a in commands.choices["efficiency"]._actions}
+        defaults = inspect.signature(cooling.random_hb_trace_check).parameters
+        for name in ("trials", "max_bits", "max_ops", "seed"):
+            assert helps[name].endswith(f"(default {defaults[name].default})")
+        for schedule in (cooling.fibonacci_algorithm, cooling.run_with_noise):
+            tol = inspect.signature(schedule).parameters["tol"].default
+            assert helps["tol"].endswith(f"(default {tol})")
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_bound_fuzz_needs_a_trial(self, capsys, trials):

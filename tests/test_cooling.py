@@ -62,6 +62,11 @@ class TestSimpleRecursive:
         assert biases == sorted(biases)
         assert r.final_bias >= 1e-4
 
+    def test_subnormal_approx_depth_passes_the_float_maximum(self):
+        # b_t / b_i overflows; k is finite, and 3**k is past the float maximum
+        with pytest.raises(ValueError, match=r"3\*\*k starting bits pass the float maximum"):
+            simple_recursive(5e-324, 0.5, mode="approx")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simple_recursive(0.5, 0.5)
@@ -108,6 +113,13 @@ class TestHeatbathRecursive:
     def test_final_bias_reaches_target(self):
         r = heatbath_recursive(1e-5, 0.9999)
         assert r.final_bias >= 0.9999
+
+    def test_depth_at_a_subnormal_initial_bias(self):
+        # 0.5 / 1e-320 overflows to inf; the depth comes from the difference of logs
+        r = heatbath_recursive(1e-320, 0.5)
+        assert r.stats["k"] == (math.log(0.5) - math.log(1e-320)) / math.log(1.5)
+        assert r.stats["k"] == pytest.approx(1815.53, abs=0.005)
+        assert r.final_bias >= 0.5
 
 
 class TestThreeBcHb:
