@@ -29,8 +29,7 @@ _EXPORTS = {
                "LimitReport", "attracting_limit", "bisect_root", "blim_asym_after",
                "blim_sym_after", "blim_sym_during", "limit_report", "make_model",
                "newbias_asym_after", "newbias_asym_during", "newbias_sym_after",
-               "newbias_sym_during", "summary_table", "threshold_sym_after",
-               "threshold_sym_during"),
+               "newbias_sym_during", "summary_table"),
     "noise": ("enumerate_noisy_output_bias",),
     "tape": ("ChainLoop", "PrimitiveOp", "compile_cooling_step", "execute", "permutation_ops",
              "pulse_program_from_text", "pulse_program_to_text"),

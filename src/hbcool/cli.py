@@ -250,7 +250,7 @@ def _cmd_efficiency(args) -> tuple[object, str]:
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
     if args.trace:
-        return ("__jsonl__", cooling.trace_to_jsonl(result)), ""
+        return None, cooling.trace_to_jsonl(result)
     record = {
         "algorithm": args.algorithm,
         "bi": args.bi,
@@ -486,11 +486,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(jdumps({"error": str(exc)}))
         return 1
-    if isinstance(record, tuple) and record and record[0] == "__jsonl__":
-        sys.stdout.write(record[1])
-        return 0
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if record is None:  # --trace's JSON lines, written as they are
+        sys.stdout.write(text)
+    elif fmt == "json":
         print(jdumps(record))
     elif fmt == "csv":
         if args.command not in _CSV_COMMANDS:

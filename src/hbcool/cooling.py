@@ -5,8 +5,8 @@ Three schedules are provided:
   * simple_recursive: partition into triples, majority-compress, discard
     the heated bits, recurse on the survivors.
   * heatbath_recursive: same, but heated bits are re-polarized at the
-    bath and re-partitioned until each level is exhausted (two leftovers
-    per level).
+    bath and re-partitioned until each level is exhausted: a level of m
+    bits takes m - 2 steps and leaves two leftovers.
   * fibonacci_algorithm: grow a register one bit at a time, driving each
     new bit to the steady state of repeated compression against its two
     predecessors.
@@ -19,7 +19,8 @@ toward the target (simple_recursive, heatbath_recursive and the noisy
 simple run). _grow adds one bit at a time at the closed-form steady state
 against the last two, counting the _settle loop that drives each fresh
 bit there (the exact and the noisy Fibonacci runs). Every run spends at
-most _STEP_BUDGET updates.
+most _STEP_BUDGET updates. One stream, _linear_regime, gives the linear
+regime b_i * F(j) to fibonacci_bound_check and the approx Fibonacci run.
 
 Every run returns a CoolingResult carrying the achieved bias, a cost
 ledger, algorithm-specific stats, and an optional per-step trace that
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import limits
 # debias_step is bound here, unused, so the benchmark's traced run can wrap it
@@ -193,7 +194,8 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
     """Heat-bath recursion: re-polarize heated bits and re-partition per level.
 
     Each level turns m equal-bias bits into m - 2 bits at the next bias
-    (two leftovers are discarded), at the price of repeated bath contact.
+    (two leftovers are discarded) in m - 2 steps: each compresses three pool
+    bits into one and re-polarizes the other two, 2(m - 2) bath contacts in all.
     The headline bit count is the 2k figure with the flat-gain depth
     k = log_{3/2}(b_t / b_i); the simulated exact-level ledger (with its
     working register of 2*k_exact + 1 bits) is reported alongside.
@@ -204,15 +206,9 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
     m0 = 2 * k_exact + 1
     ledger = CostLedger(bits_consumed=m0, recursion_depth=k_exact)
     trace = []
-    m = m0
     for lvl, bias in enumerate(levels, start=1):
-        pool = m
-        while pool >= 3:
-            t = pool // 3
-            ledger.three_bc_ops += t
-            ledger.heat_bath_contacts += 2 * t
-            pool -= t
-        m -= 2  # the two sub-target leftovers are dropped
+        ledger.three_bc_ops += m0 - 2 * lvl  # its m = m0 - 2(lvl - 1) bits take m - 2 steps
+        ledger.heat_bath_contacts += 2 * (m0 - 2 * lvl)
         trace.append(_trace_entry(lvl, "heatbath-level", None, [bias], ledger))
     k_approx = _flat_gain_depth(b_i, b_t)
     stats = {
@@ -271,17 +267,24 @@ class BoundCheck:
     bound: Optional[float] = None
 
 
+def _linear_regime(b_i: float) -> Iterator[float]:
+    """b_i * F(j) for j = 1, 2, ...: F(j) is rounded to a float below 2^1000, and
+    above it first cut to its top 1,000 bits, so no float passes the range before b_i * F(j)."""
+    f_prev, f = 0, 1  # F(0), F(1)
+    while True:
+        shift = max(f.bit_length() - 1000, 0)
+        yield math.ldexp(b_i * float(f >> shift), shift)
+        f_prev, f = f, f_prev + f
+
+
 def fibonacci_bound_check(state: RegisterBiases) -> BoundCheck:
     """Check the sorted biases against b_i * F(j) position by position."""
-    f_prev, f = 0, 1  # F(0), F(1)
-    for j, value in enumerate(state.sorted_biases(), start=1):
-        shift = max(f.bit_length() - 53, 0)  # F(j) cut to a float's 53 bits, never past its range
-        bound = math.ldexp(state.initial_bias * (f >> shift), shift)
+    bounds = _linear_regime(state.initial_bias)
+    for j, (value, bound) in enumerate(zip(state.sorted_biases(), bounds), start=1):
         if value > bound + _BOUND_TOL:
             return BoundCheck(False, witness_index=j, witness_value=value, bound=bound)
         if bound >= 1.0:  # no bias exceeds 1
             break
-        f_prev, f = f, f_prev + f
     return BoundCheck(True)
 
 
@@ -367,15 +370,10 @@ def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
     _check_targets(b_i, b_t)
     _check_tol(tol)
     if mode == "approx":
-        f_prev, f_last = 1, 1
-        sequence = [b_i * f_prev, b_i * f_last]
+        stream = _linear_regime(b_i)
+        sequence = [next(stream)]
         while sequence[-1] < b_t:
-            f_prev, f_last = f_last, f_prev + f_last
-            try:
-                sequence.append(b_i * f_last)
-            except OverflowError:
-                raise ValueError(f"approx mode's b_i * F(j) needs F(j) past the float maximum "
-                                 f"at b_i = {b_i!r}") from None
+            sequence.append(next(stream))
         n = len(sequence)
         ledger = CostLedger(bits_consumed=n)
         stats = {"mode": mode, "n": n, "sequence": sequence}
@@ -394,11 +392,11 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
                    model: str = limits.ASYM_AFTER, tol: float = 1e-12) -> CoolingResult:
     """Re-run a schedule with every compression replaced by its noisy update.
 
-    The run stops once a step gains at most tol times the best bias, the
-    target is reached, or the step budget is spent; the achieved supremum
-    never exceeds the model's bias limit. The fibonacci schedule supports
-    the after-step models only: each new bit joins at the steady state of
-    the unequal-bias update ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d.
+    The run stops once a step gains at most tol times the best bias, the target
+    is reached, or the step budget is spent; the achieved supremum never exceeds
+    max(b_i, b_lim), since no step gains above the model's bias limit b_lim. The
+    fibonacci schedule supports the after-step models only: each new bit joins at
+    the steady state of the unequal-bias update ((b1+b2+b3 - b1 b2 b3)/2)(1-s) + d.
     """
     if not (0.0 < b_i <= b_t <= 1.0):
         raise ValueError("need 0 < b_i <= b_t <= 1")

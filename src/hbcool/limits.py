@@ -12,6 +12,7 @@ Each model has an exact bias-update map, a largest attracting fixed
 point ("the bias limit": above it the step stops helping), and a
 second-order-in-rates approximation of that limit. Every exact root here
 is found by bracketed bisection; the closed forms exist as cross-checks.
+Each threshold is computed once, in `THRESHOLDS`, which everything else reads.
 
 The four models are two circuits, each at two rate slices. The during
 models run the Toffoli majority circuit with its 7 noise sites, the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional
 
@@ -46,9 +47,7 @@ from .noise import enumerate_noisy_output_bias  # noqa: F401
 __all__ = [
     "SYM_AFTER", "SYM_DURING", "ASYM_AFTER", "ASYM_DURING", "MODEL_LABELS",
     "bisect_root",
-    "newbias_sym_after", "threshold_sym_after",
-    "blim_sym_after",
-    "newbias_sym_during", "threshold_sym_during", "blim_sym_during",
+    "newbias_sym_after", "blim_sym_after", "newbias_sym_during", "blim_sym_during",
     "newbias_asym_after", "blim_asym_after", "newbias_asym_during",
     "THRESHOLDS", "BiasUpdateModel", "make_model", "attracting_limit",
     "LimitReport", "limit_report", "summary_table",
@@ -222,15 +221,10 @@ def newbias_sym_after(b: float, eps: float) -> float:
     return _circuit_map(False, ErrorRates.symmetric(_check_rate(eps)))(b)
 
 
-def threshold_sym_after() -> float:
-    """Rate above which the step cannot increase any positive bias: exactly 1/6."""
-    return 1.0 / 6.0
-
-
 def blim_sym_after(eps: float) -> float:
     """Attracting fixed point sqrt((1 - 6 eps)/(1 - 2 eps)); 0 above threshold."""
     _check_rate(eps)
-    if eps >= 1.0 / 6.0:
+    if eps >= THRESHOLDS[SYM_AFTER][0]:
         return 0.0
     return math.sqrt((1.0 - 6.0 * eps) / (1.0 - 2.0 * eps))
 
@@ -241,13 +235,6 @@ def newbias_sym_during(b: float, eps: float) -> float:
     return _circuit_map(True, ErrorRates.symmetric(_check_rate(eps)))(b)
 
 
-@lru_cache(maxsize=1)
-def threshold_sym_during() -> float:
-    """Unique root in (0, 1/2) of newbias_sym_during's gain at b -> 0, by bisection."""
-    gain = lambda eps: -2.0 + (1.0 - 2.0 * eps) ** 3 * (3.0 - 6.0 * eps + 4.0 * eps * eps)
-    return bisect_root(gain, 0.0, 0.49)
-
-
 def blim_sym_during(eps: float) -> float:
     """Closed-form attracting fixed point of the during-model update.
 
@@ -255,7 +242,7 @@ def blim_sym_during(eps: float) -> float:
     as 0 at or above the threshold.
     """
     _check_rate(eps)
-    if eps >= threshold_sym_during():
+    if eps >= THRESHOLDS[SYM_DURING][0]:
         return 0.0
     poly = (1.0 - 24.0 * eps + 76.0 * eps**2 - 120.0 * eps**3
             + 96.0 * eps**4 - 32.0 * eps**5)
@@ -304,14 +291,19 @@ def newbias_asym_during(b: float, rates: ErrorRates, mode: str = "exact") -> flo
 
 # ------------------------------------------------------------------ thresholds
 
-# The one threshold table: each model's error-rate threshold as a value and
-# as printed text. The asymmetric models have none.
+# The one threshold table: each model's error-rate threshold as a value and as
+# printed text. Above sym-after's, exactly 1/6, the step cannot increase any
+# positive bias; sym-during's is the unique root in (0, 1/2) of
+# newbias_sym_during's gain at b -> 0, by bisection. The asymmetric models have none.
 THRESHOLDS: dict[str, tuple[Optional[float], str]] = {
-    SYM_AFTER: (threshold_sym_after(), "1/6"),
-    SYM_DURING: (threshold_sym_during(), f"{threshold_sym_during():.6f}"),
+    SYM_AFTER: (1.0 / 6.0, "1/6"),
+    SYM_DURING: (_eps := bisect_root(
+        lambda eps: -2.0 + (1.0 - 2.0 * eps) ** 3 * (3.0 - 6.0 * eps + 4.0 * eps * eps),
+        0.0, 0.49), f"{_eps:.6f}"),
     ASYM_AFTER: (None, "N/A"),
     ASYM_DURING: (None, "N/A"),
 }
+del _eps
 
 
 # --------------------------------------------------------------- generic layer

@@ -51,6 +51,13 @@ _SHIFTS = {
 }
 
 
+def _check_chain(m: int, head: int) -> None:
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"need an odd number of triples, got m={m}")
+    if not (0 <= head < m):
+        raise ValueError(f"head triple {head} out of range")
+
+
 @dataclass(frozen=True)
 class ChainLoop:
     """m ABC-triples in a ring, one bit per cell, head at a fixed triple."""
@@ -61,14 +68,11 @@ class ChainLoop:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(map(int, self.bits)))
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError(f"need an odd number of triples, got m={self.m}")
+        _check_chain(self.m, self.head)
         if len(self.bits) != 3 * self.m:
             raise ValueError(f"need {3 * self.m} bits, got {len(self.bits)}")
         if not {0, 1}.issuperset(self.bits):
             raise ValueError("cell values must be bits")
-        if not (0 <= self.head < self.m):
-            raise ValueError(f"head triple {self.head} out of range")
 
     @property
     def n_cells(self) -> int:
@@ -157,6 +161,7 @@ def _head_transposition_ops(m: int, head: int, cell: int, species: int) -> list[
 def permutation_ops(m: int, head: int, perm: Sequence[int]) -> list[PrimitiveOp]:
     """Compile a destination map (bit at cell i moves to cell perm[i]) cycle
     by cycle, each through the head cell that gives the shortest program."""
+    _check_chain(m, head)
     n = 3 * m
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a bijection on all cell indices")

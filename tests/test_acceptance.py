@@ -20,8 +20,8 @@ from hbcool.distribution import product_distribution
 from hbcool import limits
 from hbcool.limits import (ASYM_AFTER, ASYM_DURING, SYM_AFTER, SYM_DURING,
                            blim_asym_after, blim_sym_after, blim_sym_during,
-                           limit_report, newbias_asym_during, newbias_sym_during,
-                           threshold_sym_after, threshold_sym_during)
+                           THRESHOLDS, limit_report, newbias_asym_during,
+                           newbias_sym_during)
 from hbcool.noise import enumerate_noisy_output_bias
 from oracles import brute_force_best_permutation_bias
 
@@ -76,8 +76,8 @@ def test_criterion_02_heatbath_and_fibonacci_bit_counts():
 def test_criterion_03_thresholds():
     """Thresholds: exactly 1/6; 0.048592 +- 1e-6, cross-checked by enumeration."""
     def run():
-        assert threshold_sym_after() == 1 / 6
-        th = threshold_sym_during()
+        assert THRESHOLDS[SYM_AFTER][0] == 1 / 6
+        th, _ = THRESHOLDS[SYM_DURING]
         assert abs(th - 0.048592) <= 1e-6
         circuit = majority_circuit_toffoli()
         b = 1e-3

@@ -8,13 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hbcool
 from hbcool import cooling, distribution
-from hbcool.bias import ErrorRates, debias_step
+from hbcool.bias import ErrorRates, debias_step, fibonacci
 from hbcool.circuits import circuit_from_text, majority_circuit_toffoli
 from hbcool.cli import build_parser, main
 from hbcool.cooling import run_with_noise
@@ -416,14 +417,26 @@ class TestEfficiency:
         assert rec["violations"] == 0 and rec["trials"] == 20
 
     @pytest.mark.parametrize("algorithm, bi, limit", [
-        ("simple", "1e-114", "3**k starting bits"), ("fibonacci", "3e-309", "b_i * F(j)"),
-    ], ids=["simple", "fibonacci"])
+        ("simple", "1e-114", "3**k starting bits"),
+    ], ids=["simple"])
     def test_approx_mode_past_the_float_maximum(self, capsys, algorithm, bi, limit):
         code, out = run_cli(capsys, "efficiency", "--algorithm", algorithm, "--mode", "approx",
                             "--bi", bi, "--target", "0.9")
         assert code == 1
         error = json.loads(out)["error"]
         assert limit in error and "float maximum" in error
+
+    def test_fibonacci_approx_with_f_past_the_float_maximum(self, capsys):
+        # b_i * F(n) passes 0.9 only once F(n) is past the float maximum
+        rec = run_json(capsys, "efficiency", "--algorithm", "fibonacci", "--mode", "approx",
+                       "--bi", "3e-309", "--target", "0.9")
+        n = 1
+        while Fraction(3e-309) * fibonacci(n) < Fraction(0.9):
+            n += 1
+        assert fibonacci(n) > sys.float_info.max
+        assert rec["stats"]["n"] == rec["ledger"]["bits_consumed"] == n
+        exact = float(Fraction(3e-309) * fibonacci(n))
+        assert abs(rec["final_bias"] - exact) <= math.ulp(exact)
 
     def test_approx_bias_above_1_is_flagged(self, capsys):
         argv = ("efficiency", "--algorithm", "fibonacci", "--mode", "approx",

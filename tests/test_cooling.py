@@ -13,6 +13,7 @@ from hbcool.bias import (ErrorRates, debias_step, fibonacci, steady_state_bias,
                          three_bc_bias_unequal)
 from hbcool.cooling import (
     RegisterBiases,
+    _linear_regime,
     _pair_step,
     _settle,
     fibonacci_algorithm,
@@ -95,20 +96,27 @@ class TestHeatbathRecursive:
         assert r.ledger.bits_consumed == r.stats["working_register"]
 
     def test_level_structure(self):
-        # m bits per level yield m - 2 cooled bits and 2(m-2) bath contacts
-        r = heatbath_recursive(0.2, 0.5)
-        k = r.stats["k_exact"]
-        m = 2 * k + 1
-        expected_ops = 0
-        for _ in range(k):
-            pool = m
+        # m bits per level yield m - 2 cooled bits and 2(m-2) bath contacts; the oracle
+        # is the pool loop, t = pool // 3 steps at a time, for every odd m0 up to 2,001
+        expected_ops = {1: 0}  # working register m0 -> steps over its levels m0, m0 - 2, ..., 3
+        for m in range(3, 2002, 2):
+            pool, steps = m, 0
             while pool >= 3:
                 t = pool // 3
-                expected_ops += t
+                steps += t
                 pool -= t
-            m -= 2
-        assert r.ledger.three_bc_ops == expected_ops
-        assert r.ledger.heat_bath_contacts == 2 * expected_ops
+            expected_ops[m] = expected_ops[m - 2] + steps
+        targets, b = [(0.2, 0.5)], 1e-200
+        for _ in range(1000):  # the run to the k-th level's bias has k levels
+            b = three_bc_bias(b)
+            targets.append((1e-200, b))
+        registers = []
+        for b_i, b_t in targets:
+            r = heatbath_recursive(b_i, b_t)
+            registers.append(r.stats["working_register"])
+            ops = expected_ops[registers[-1]]
+            assert (r.ledger.three_bc_ops, r.ledger.heat_bath_contacts) == (ops, 2 * ops)
+        assert registers[1:] == list(range(3, 2002, 2))
 
     def test_final_bias_reaches_target(self):
         r = heatbath_recursive(1e-5, 0.9999)
@@ -187,6 +195,21 @@ class TestFibonacciBoundCheck:
         check = fibonacci_bound_check(RegisterBiases([0.0] * 1479 + [0.5], 1e-310))
         assert (check.passed, check.witness_index) == (False, 1480)
         assert check.bound == pytest.approx(float(fibonacci(1480) * Fraction(1e-310)), rel=1e-15)
+
+    @pytest.mark.parametrize("b_i", [5e-324, 3e-309, 1e-300, 1e-150, 1e-20, 1e-5, 0.1, 0.3])
+    def test_linear_regime_against_exact_products(self, b_i):
+        # F(j) below 2^53 is exact, so b_i * F(j) is correctly rounded; below 2^1000
+        # F(j) is rounded once, as b_i * F(j) rounds it in floats; above, within 1 ulp
+        for j, value in enumerate(_linear_regime(b_i), start=1):
+            f = fibonacci(j)
+            exact = float(Fraction(b_i) * f)
+            if f < 2**53:
+                assert value == exact, j
+            elif f < 2**1000:
+                assert value == float(Fraction(b_i) * Fraction(float(f))) == b_i * f, j
+            assert abs(value - exact) <= math.ulp(exact), j
+            if value >= 1.0:
+                break
 
     def test_fuzz_traces_never_violate(self):
         report = random_hb_trace_check(trials=2000, max_bits=8, seed=7)
@@ -408,6 +431,16 @@ class TestRunWithNoise:
         assert len(seq) > 3
         for j in range(2, len(seq)):
             assert seq[j] == steady_state_bias_noisy(seq[j - 2], seq[j - 1], rates)
+
+    def test_supremum_is_the_start_above_the_limit(self):
+        # from b_i above b_lim no step gains, so each schedule returns max(b_i, b_lim) = b_i
+        rates = ErrorRates.from_sd(0.02, 0.01)
+        assert blim_asym_after(rates) == pytest.approx(0.98985, abs=1e-5)
+        simple = run_with_noise("simple-recursive", 0.99, 0.999, rates, model=ASYM_AFTER)
+        fib = run_with_noise("fibonacci", 0.99, 0.999, rates, model=ASYM_AFTER)
+        assert (simple.final_bias, simple.stats["steps"]) == (0.99, 0)
+        assert (fib.final_bias, fib.stats["n"]) == (0.99, 2)
+        assert not simple.stats["reached_target"] and not fib.stats["reached_target"]
 
     def test_fibonacci_saturates_at_after_limit(self):
         rates = ErrorRates.from_sd(0.02, 0.01)

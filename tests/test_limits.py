@@ -23,6 +23,7 @@ from hbcool.limits import (
     MODEL_LABELS,
     SYM_AFTER,
     SYM_DURING,
+    THRESHOLDS,
     attracting_limit,
     bisect_root,
     blim_asym_after,
@@ -35,8 +36,6 @@ from hbcool.limits import (
     newbias_sym_after,
     newbias_sym_during,
     summary_table,
-    threshold_sym_after,
-    threshold_sym_during,
 )
 
 BIAS_GRID = [0.1 * k for k in range(1, 10)]
@@ -168,7 +167,7 @@ class TestSymmetricAfter:
         assert newbias_sym_after(0.5, 0.25) == pytest.approx(0.34375, abs=1e-12)
 
     def test_threshold_value(self):
-        assert threshold_sym_after() == 1 / 6
+        assert THRESHOLDS[SYM_AFTER] == (1 / 6, "1/6")
 
     def test_no_gain_at_threshold(self):
         for b in (0.1, 0.5, 0.9):
@@ -218,11 +217,11 @@ class TestSymmetricDuring:
             0.6365050903959999, abs=1e-12)
 
     def test_threshold_bracketed_value(self):
-        th = threshold_sym_during()
+        th, _ = THRESHOLDS[SYM_DURING]
         assert th == pytest.approx(0.048592, abs=1e-6)
 
     def test_gain_sign_flips_across_threshold(self):
-        th = threshold_sym_during()
+        th, _ = THRESHOLDS[SYM_DURING]
         b = 1e-3
         assert newbias_sym_during(b, th - 1e-4) - b > 0
         assert newbias_sym_during(b, th + 1e-4) - b < 0

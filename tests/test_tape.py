@@ -189,6 +189,15 @@ class TestApplyPermutation:
         with pytest.raises(ValueError, match="bijection"):
             permutation_ops(3, 0, [0] * 9)
 
+    @pytest.mark.parametrize("m, head", [(3, 7), (3, -1), (5, 9), (3, 4), (4, 0)])
+    def test_rejects_a_chain_that_cannot_exist(self, m, head):
+        # a program for no chain would run on the chain with head % m and move wrong bits
+        with pytest.raises(ValueError) as loop_error:
+            ChainLoop(m, (0,) * (3 * m), head=head)
+        with pytest.raises(ValueError) as ops_error:
+            permutation_ops(m, head, list(range(3 * m))[::-1])
+        assert str(ops_error.value) == str(loop_error.value)
+
 
 class TestPermutationOps:
     @pytest.mark.parametrize("perm", list(permutations(range(3))))
