@@ -6,7 +6,8 @@ Three schedules are provided:
     the heated bits, recurse on the survivors.
   * heatbath_recursive: same, but heated bits are re-polarized at the
     bath and re-partitioned until each level is exhausted: a level of m
-    bits takes m - 2 steps and leaves two leftovers.
+    bits takes m - 2 steps and leaves two leftovers, so k levels take k^2
+    steps and 2k^2 bath contacts.
   * fibonacci_algorithm: grow a register one bit at a time, driving each
     new bit to the steady state of repeated compression against its two
     predecessors.
@@ -24,13 +25,15 @@ regime b_i * F(j) to fibonacci_bound_check and the approx Fibonacci run.
 
 Every run returns a CoolingResult carrying the achieved bias, a cost
 ledger, algorithm-specific stats, and an optional per-step trace that
-exports as JSON lines.
+exports as JSON lines. A trace keeps only the bias after each step and the
+counts its ledgers need; each entry and its ledger are built when read.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -71,7 +74,7 @@ class CoolingResult:
     final_bias: float
     ledger: CostLedger
     stats: dict
-    trace: Optional[list[dict]] = None
+    trace: Optional[Sequence[dict]] = None  # a read-only sequence of entry dicts
 
 
 def _check_targets(b_i: float, b_t: float) -> None:
@@ -92,30 +95,44 @@ def _flat_gain_depth(b_i: float, b_t: float) -> float:
     return (math.log(ratio) if ratio < math.inf else math.log(b_t) - math.log(b_i)) / math.log(1.5)
 
 
-def _trace_entry(step: int, op: str, positions, biases_after, ledger: CostLedger) -> dict:
-    return {
-        "step": step,
-        "op": op,
-        "positions": positions,
-        "biases_after": list(biases_after),
-        "ledger": ledger.as_dict(),
-    }
-
-
 def _levels_ledger(k: int) -> CostLedger:
     # a depth-k ternary tree takes 3^k bits and applies (3^k - 1) / 2 majority steps
     bits = 3**k
     return CostLedger(bits_consumed=bits, three_bc_ops=(bits - 1) // 2, recursion_depth=k)
 
 
-# Level-by-level runs keep only the depth in each trace entry, so a trace
-# stays linear in the number of levels; trace_to_jsonl writes the 3^j ledger.
-_LEVEL_OPS = ("majority-level", "noisy-majority-level")
+def _level_step(i: int, _: None) -> tuple:
+    return i + 1, None, _levels_ledger(i + 1)
 
 
-def _level_trace(op: str, levels: list[float]) -> list[dict]:
-    return [{"step": j, "op": op, "positions": None, "biases_after": [b],
-             "ledger": {"recursion_depth": j}} for j, b in enumerate(levels, start=1)]
+def _heatbath_step(i: int, k: int) -> tuple:
+    # level l's m = 2(k - l) + 3 bits take m - 2 steps, so j of k levels take j(2k - j)
+    j = i + 1
+    return j, None, CostLedger(2 * k + 1, j * (2 * k - j), 2 * j * (2 * k - j), k)
+
+
+def _grown_step(i: int, spent: list[int]) -> tuple:
+    j = i + 3  # bit j joins against bits j - 2 and j - 1
+    return j, [j - 2, j - 1, j], CostLedger(j, spent[i], 2 * spent[i], j)
+
+
+@dataclass(frozen=True)
+class _Trace(Sequence):
+    """The bias after each step; step_at(i, data) gives step i's number, positions and ledger."""
+
+    op: str
+    biases: list[float]
+    step_at: Callable[[int, object], tuple]  # a module-level function, so results pickle
+    data: object = None
+
+    def __len__(self) -> int:
+        return len(self.biases)
+
+    def __getitem__(self, i: int) -> dict:
+        bias = self.biases[i]  # raises IndexError past either end
+        step, positions, ledger = self.step_at(i % len(self.biases), self.data)
+        return {"step": step, "op": self.op, "positions": positions,
+                "biases_after": [bias], "ledger": ledger.as_dict()}
 
 
 def _climb(update: Callable[[float], float], b: float, b_t: float,
@@ -187,7 +204,7 @@ def simple_recursive(b_i: float, b_t: float, mode: str = "exact") -> CoolingResu
     bits = ledger.bits_consumed
     stats = {"mode": mode, "k": len(levels), "bits": bits, "bits_ceil": bits}
     return CoolingResult(final_bias=b, ledger=ledger, stats=stats,
-                         trace=_level_trace("majority-level", levels))
+                         trace=_Trace("majority-level", levels, _level_step))
 
 
 def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
@@ -195,21 +212,16 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
 
     Each level turns m equal-bias bits into m - 2 bits at the next bias
     (two leftovers are discarded) in m - 2 steps: each compresses three pool
-    bits into one and re-polarizes the other two, 2(m - 2) bath contacts in all.
-    The headline bit count is the 2k figure with the flat-gain depth
-    k = log_{3/2}(b_t / b_i); the simulated exact-level ledger (with its
+    bits into one and re-polarizes the other two, 2(m - 2) bath contacts in all,
+    so k levels take k^2 steps. The headline bit count is the 2k figure with the
+    flat-gain depth k = log_{3/2}(b_t / b_i); the exact-level ledger (with its
     working register of 2*k_exact + 1 bits) is reported alongside.
     """
     _check_targets(b_i, b_t)
     b, levels = _climb(three_bc_bias, b_i, b_t)
     k_exact = len(levels)
     m0 = 2 * k_exact + 1
-    ledger = CostLedger(bits_consumed=m0, recursion_depth=k_exact)
-    trace = []
-    for lvl, bias in enumerate(levels, start=1):
-        ledger.three_bc_ops += m0 - 2 * lvl  # its m = m0 - 2(lvl - 1) bits take m - 2 steps
-        ledger.heat_bath_contacts += 2 * (m0 - 2 * lvl)
-        trace.append(_trace_entry(lvl, "heatbath-level", None, [bias], ledger))
+    ledger = CostLedger(m0, k_exact**2, 2 * k_exact**2, k_exact)
     k_approx = _flat_gain_depth(b_i, b_t)
     stats = {
         "k": k_approx,
@@ -218,7 +230,8 @@ def heatbath_recursive(b_i: float, b_t: float) -> CoolingResult:
         "bits_2k_exact": 2 * k_exact,
         "working_register": m0,
     }
-    return CoolingResult(final_bias=b, ledger=ledger, stats=stats, trace=trace)
+    return CoolingResult(final_bias=b, ledger=ledger, stats=stats,
+                         trace=_Trace("heatbath-level", levels, _heatbath_step, k_exact))
 
 
 @dataclass
@@ -268,12 +281,12 @@ class BoundCheck:
 
 
 def _linear_regime(b_i: float) -> Iterator[float]:
-    """b_i * F(j) for j = 1, 2, ...: F(j) is rounded to a float below 2^1000, and
-    above it first cut to its top 1,000 bits, so no float passes the range before b_i * F(j)."""
+    """b_i * F(j) for j = 1, 2, ..., each correctly rounded: it is one int / int
+    true division, which Python rounds once."""
+    num, den = b_i.as_integer_ratio()
     f_prev, f = 0, 1  # F(0), F(1)
     while True:
-        shift = max(f.bit_length() - 1000, 0)
-        yield math.ldexp(b_i * float(f >> shift), shift)
+        yield num * f / den
         f_prev, f = f, f_prev + f
 
 
@@ -327,7 +340,7 @@ def random_hb_trace_check(trials: int = 10000, max_bits: int = 8, seed: int = 0,
 
 
 def _grow(b_i: float, b_t: float, s: float, d: float, tol: float, stall: float,
-          op: str) -> tuple[list[float], CostLedger, list[dict]]:
+          op: str) -> tuple[list[float], CostLedger, _Trace]:
     """Grow a register from two bits at b_i until its last bit reaches b_t.
 
     Each fresh bit settles from b_i against the last two bits, o and n, under
@@ -338,22 +351,18 @@ def _grow(b_i: float, b_t: float, s: float, d: float, tol: float, stall: float,
     Returns (sequence, ledger, trace).
     """
     scale, two_d = 1.0 - s, 2.0 * d
-    ledger = CostLedger(bits_consumed=2, recursion_depth=2)
-    trace = []
-    sequence = [b_i, b_i]
-    while sequence[-1] < b_t and ledger.three_bc_ops < _STEP_BUDGET:
+    sequence, spent, steps = [b_i, b_i], [], 0  # spent: the steps taken once each bit joined
+    while sequence[-1] < b_t and steps < _STEP_BUDGET:
         older, newer = sequence[-2], sequence[-1]
-        steps = _settle(_pair_step(older, newer, scale, d), b_i, tol,
-                        _STEP_BUDGET - ledger.three_bc_ops)
-        ledger.three_bc_ops += steps
-        ledger.heat_bath_contacts += 2 * steps
+        steps += _settle(_pair_step(older, newer, scale, d), b_i, tol, _STEP_BUDGET - steps)
         x = ((older + newer) * scale + two_d) / (1.0 + older * newer * scale + s)
         if x - newer <= stall * newer:
             break
         sequence.append(x)
-        j = ledger.bits_consumed = ledger.recursion_depth = len(sequence)
-        trace.append(_trace_entry(j, op, [j - 2, j - 1, j], [x], ledger))
-    return sequence, ledger, trace
+        spent.append(steps)
+    n = len(sequence)
+    trace = _Trace(op, sequence[2:], _grown_step, spent)
+    return sequence, CostLedger(n, steps, 2 * steps, n), trace
 
 
 def fibonacci_algorithm(b_i: float, b_t: float, mode: str = "exact",
@@ -407,7 +416,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
         stats = {"algorithm": algorithm, "model": model, "steps": len(levels),
                  "reached_target": b >= b_t}
         return CoolingResult(final_bias=b, ledger=_levels_ledger(len(levels)), stats=stats,
-                             trace=_level_trace("noisy-majority-level", levels))
+                             trace=_Trace("noisy-majority-level", levels, _level_step))
     if algorithm == "fibonacci":
         if model not in (limits.SYM_AFTER, limits.ASYM_AFTER):
             raise ValueError("fibonacci schedule supports the after-step models only")
@@ -421,16 +430,7 @@ def run_with_noise(algorithm: str, b_i: float, b_t: float, rates: ErrorRates,
 
 
 def trace_to_jsonl(result: CoolingResult) -> str:
-    """One JSON record per trace step, newline separated.
-
-    A level entry's ledger is written out in full from its depth.
-    """
+    """One JSON record per trace step, each ending in a newline; no steps give ""."""
     if result.trace is None:
         raise ValueError("result carries no trace")
-    return "\n".join(json_dumps(_expanded(entry)) for entry in result.trace) + "\n"
-
-
-def _expanded(entry: dict) -> dict:
-    if entry["op"] not in _LEVEL_OPS:
-        return entry
-    return {**entry, "ledger": _levels_ledger(entry["ledger"]["recursion_depth"]).as_dict()}
+    return "".join(json_dumps(entry) + "\n" for entry in result.trace)

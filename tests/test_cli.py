@@ -388,6 +388,14 @@ class TestEfficiency:
             rec = json.loads(line)
             assert set(rec) == {"step", "op", "positions", "biases_after", "ledger"}
 
+    @pytest.mark.parametrize("algorithm", ["simple", "fibonacci"])
+    def test_trace_without_steps_prints_nothing(self, capsys, algorithm):
+        # b_i = 0.99 is above the sym-after limit at eps = 0.01 (about 0.979), so no
+        # level is climbed and no bit joins: the trace has no entries and no lines
+        assert run_cli(capsys, "efficiency", "--algorithm", algorithm, "--bi", "0.99",
+                       "--target", "1.0", "--noise-model", "sym-after", "--eps", "0.01",
+                       "--trace") == (0, "")
+
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     @pytest.mark.parametrize("algorithm", ["simple", "heatbath", "fibonacci"])
     def test_trace_rejects_other_formats(self, capsys, algorithm, fmt):
